@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
+from .squares import line_level
+
 
 def product_square_indices(
     values,
@@ -55,20 +57,7 @@ def product_square_indices(
     out: list[tuple[int, ...]] = []
 
     def leaf_ok() -> bool:
-        if level == 1:
-            return True
-        if sum(vals[grid[i * n + i]] for i in range(n)) != target:
-            return False
-        if sum(vals[grid[i * n + n - 1 - i]] for i in range(n)) != target:
-            return False
-        if level == 3 and n >= 3:
-            for k in range(1, n):
-                if sum(vals[grid[i * n + (i + k) % n]] for i in range(n)) != target:
-                    return False
-            for k in range(n - 1):
-                if sum(vals[grid[i * n + (k - i) % n]] for i in range(n)) != target:
-                    return False
-        return True
+        return line_level([vals[c] for c in grid], n, target) >= level
 
     def extend(pos: int) -> None:
         if pos == m:

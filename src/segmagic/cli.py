@@ -88,7 +88,7 @@ def cmd_search(args) -> int:
     alphabet = search.parse_alphabet(args.alphabet)
     query = search.SearchQuery(
         alphabet=alphabet,
-        order=args.order if args.order else len(alphabet),
+        order=len(alphabet),
         requirement=_EXPECT_LEVELS[args.expect],
         universality=_parse_transforms(args.transforms) if args.transforms else (),
         dedup=args.dedup,
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate combination squares")
     p.add_argument("--alphabet", required=True, help="digit string, e.g. 1258")
-    p.add_argument("--order", type=int, help="default: alphabet size")
     p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS), default="magic")
     p.add_argument("--transforms", help="universality filter, comma-separated")
     p.add_argument("--dedup", action="store_true", help="orbit-minimal squares only")

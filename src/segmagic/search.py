@@ -7,29 +7,35 @@ backtracks over the cell grid row-major with sum pruning (the hot loop lives
 in the kernel, compiled when available), then filters complete candidates for
 universality and orbit-minimality.
 
-Two-digit combination squares are equivalent to orthogonal Latin square
-pairs: the tens digits and the units digits each form a Latin square, and
-superimposing them yields all pairs once.  ``via_latin`` enumeration walks
-that much smaller space instead and is the practical route at order 5.
+Superimposing an orthogonal Latin square pair over D gives a combination
+square whose rows and columns all hold the magic sum.  The converse fails
+for some alphabets: over {0,1,2,3}, where 0+3 = 1+2, the direct route finds
+353,664 semi-magic squares and only 6,912 of them have Latin digit grids.
+``via_latin`` enumeration walks the much smaller Latin-pair space, the
+practical route at order 5, and refuses every alphabet in which two pairs of
+distinct digits have the same sum.  Over the other alphabets both routes
+were checked to give the same squares, at the semi-magic and the magic
+level: all 120 alphabets of order 3 (three distinct digits never collide)
+and the 160 of the 210 alphabets of order 4 that are not refused (the 50
+refused ones lose squares at both levels).  Order 5 is unverified.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .squares import (
     ATOMIC_TRANSFORMS,
     Category,
-    InvalidDigitError,
     Square,
     alphabet_of,
-    apply_transform,
-    classify,
+    cell_image,
+    line_level,
+    source_positions,
 )
 
 
@@ -81,95 +87,103 @@ class SearchQuery:
                 raise ValueError(f"unknown transform {name!r}")
 
 
-_LEVELS = {
-    Category.SEMI_MAGIC: 1,
-    Category.MAGIC: 2,
-    Category.PANDIAGONAL_MAGIC: 3,
-}
-
-
-def _kernel_job(prefix, values, order, target, level):
-    return kernels.product_square_indices(values, order, target, level, prefix)
-
-
 def enumerate_squares(
     query: SearchQuery, *, jobs: int = 1, via_latin: bool = False
 ) -> Iterator[Square]:
-    """Stream every satisfying combination square, in lexicographic order of
-    the row-major cell concatenation, each exactly once.
+    """Every satisfying combination square, in lexicographic order of the
+    row-major cell concatenation, each exactly once.
 
-    ``jobs`` > 1 splits the direct search by first-cell prefix across worker
+    The direct route yields nothing until the kernel has returned its whole
+    list of candidates (for order 4 under the pure-Python kernel, about a
+    minute).  ``jobs`` > 1 splits it by first-cell prefix across worker
     processes; the output order does not depend on it.  ``via_latin``
-    enumerates orthogonal Latin pairs instead of raw cell grids, which is
-    drastically cheaper for order 5, and filters the same way.
+    enumerates orthogonal Latin pairs instead of raw cell grids, which
+    streams and is drastically cheaper for order 5, and filters the same
+    way; it raises ValueError (on the first ``next``) for an alphabet where
+    it would miss squares, see the module docstring.
     """
     n = query.order
     alphabet = query.alphabet
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
-    target = magic_sum(alphabet)
-
-    if via_latin:
-        candidates = _squares_from_latin_pairs(n, cells, target, query.requirement)
-    else:
-        candidates = _squares_from_kernel(n, cells, target, query, jobs)
-
-    for square in candidates:
-        if query.universality and not _universality_ok(square, query, target):
-            continue
-        if query.dedup and not _orbit_minimal(square, query.universality):
-            continue
-        yield square
-
-
-def _squares_from_kernel(n, cells, target, query, jobs) -> Iterator[Square]:
     values = [int(c) for c in cells]
-    level = _LEVELS[query.requirement]
-    if jobs > 1:
-        job = partial(
-            _kernel_job, values=values, order=n, target=target, level=level
+    target = magic_sum(alphabet)
+    if via_latin:
+        sums = [a + b for a, b in combinations(alphabet, 2)]
+        if len(set(sums)) != len(sums):
+            raise ValueError(
+                f"via_latin would miss squares over {''.join(map(str, alphabet))}: "
+                "two pairs of its distinct digits have the same sum"
+            )
+        candidates = (
+            grid
+            for grid in _orthogonal_pair_grids(n)
+            if line_level([values[c] for c in grid], n, target) >= query.requirement
         )
+    else:
+        candidates = _kernel_grids(n, values, target, query.requirement, jobs)
+
+    # Transforms as (source positions, image value of each cell index).
+    # Images may leave the alphabet (rot180 turns 16 into 91 over {1,2,6}),
+    # so they are compared and summed as values, never as indices.
+    identity = (tuple(range(n * n)), tuple(cells))
+    steps = [_step(n, identity, t) for t in query.universality]
+    if None in steps:
+        return  # a transform has no image of some cell of every square
+    orbit = _group(n, identity, query.universality) if query.dedup else ()
+    images = [(src, [int(c) for c in image]) for src, image in steps]
+    orbit = [(src, [int(c) for c in image]) for src, image in orbit]
+
+    for grid in candidates:
+        if any(
+            line_level([image[grid[s]] for s in src], n, target) < query.requirement
+            for src, image in images
+        ):
+            continue
+        key = [values[c] for c in grid]
+        if any([image[grid[s]] for s in src] < key for src, image in orbit):
+            continue
+        yield Square.from_rows(
+            tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
+        )
+
+
+def _kernel_grids(n, values, target, level, jobs) -> Iterator[tuple[int, ...]]:
+    if jobs > 1:
+        # Imported here: the process pool's modules add about 2.7 MB of
+        # resident memory to every search, and only --jobs needs them.
+        from concurrent.futures import ProcessPoolExecutor
+
+        job = partial(kernels.product_square_indices, values, n, target, level)
         prefixes = [(k,) for k in range(n * n)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = pool.map(job, prefixes)
-            for batch in batches:
-                for indices in batch:
-                    yield _square_from_indices(cells, indices, n)
+            for batch in pool.map(job, prefixes):
+                yield from batch
     else:
-        for indices in kernels.product_square_indices(values, n, target, level):
-            yield _square_from_indices(cells, indices, n)
+        yield from kernels.product_square_indices(values, n, target, level)
 
 
-def _square_from_indices(cells, indices, n) -> Square:
-    return Square.from_rows(
-        tuple(cells[indices[i * n + j]] for j in range(n)) for i in range(n)
-    )
+def _step(n, element, transform):
+    """A group element, (source positions, image of each cell index),
+    followed by ``transform``; None when some cell has no image."""
+    src, images = element
+    images = tuple(cell_image(c, transform) for c in images)
+    if None in images:
+        return None
+    return tuple(src[s] for s in source_positions(n, transform)), images
 
 
-def _squares_from_latin_pairs(n, cells, target, requirement) -> Iterator[Square]:
-    # Rows and columns of any orthogonal pair already sum to the target, so
-    # only diagonals need checking; do that on cell values before paying for
-    # Square construction.
-    values = [int(c) for c in cells]
-    level = _LEVELS[requirement]
-    for flat in _orthogonal_pair_grids(n):
-        if level >= 2:
-            if (
-                sum(values[flat[i * n + i]] for i in range(n)) != target
-                or sum(values[flat[i * n + n - 1 - i]] for i in range(n)) != target
-            ):
-                continue
-            if level == 3 and n >= 3:
-                if any(
-                    sum(values[flat[i * n + (i + k) % n]] for i in range(n)) != target
-                    for k in range(1, n)
-                ) or any(
-                    sum(values[flat[i * n + (k - i) % n]] for i in range(n)) != target
-                    for k in range(n - 1)
-                ):
-                    continue
-        yield Square.from_rows(
-            tuple(cells[flat[i * n + j]] for j in range(n)) for i in range(n)
-        )
+def _group(n, identity, generators):
+    """The non-identity elements of the group the generators generate on
+    squares over the identity's cells, reached through valid images only."""
+    group, frontier = {identity}, [identity]
+    while frontier:
+        element = frontier.pop()
+        for t in generators:
+            image = _step(n, element, t)
+            if image is not None and image not in group:
+                group.add(image)
+                frontier.append(image)
+    return group - {identity}
 
 
 def _orthogonal_pair_grids(n: int) -> Iterator[tuple[int, ...]]:
@@ -215,38 +229,6 @@ def _orthogonal_pair_grids(n: int) -> Iterator[tuple[int, ...]]:
                 used[a * n + b] = False
 
     yield from extend(0)
-
-
-def _universality_ok(square: Square, query: SearchQuery, target: int) -> bool:
-    for name in query.universality:
-        try:
-            image = apply_transform(square, name)
-        except InvalidDigitError:
-            return False
-        report = classify(image)
-        if report.category < query.requirement or report.constant != target:
-            return False
-    return True
-
-
-def _orbit_minimal(square: Square, transforms: Sequence[str]) -> bool:
-    """Is the square the lexicographically least member of its orbit?"""
-    key = square.concat
-    seen = {key: square}
-    frontier = [square]
-    while frontier:
-        current = frontier.pop()
-        for name in transforms:
-            try:
-                image = apply_transform(current, name)
-            except InvalidDigitError:
-                continue
-            if image.concat < key:
-                return False
-            if image.concat not in seen:
-                seen[image.concat] = image
-                frontier.append(image)
-    return True
 
 
 @dataclass(frozen=True)
@@ -364,7 +346,9 @@ def enumerate_palindromic(
 
     def extend(pos: int, target: int | None) -> Iterator[Square]:
         if pos == n * n:
-            yield _square_from_indices(cells, tuple(grid), n)
+            yield Square.from_rows(
+                tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
+            )
             return
         i, j = divmod(pos, n)
         for c in range(m):

@@ -26,8 +26,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import glyphs
 from .glyphs import MIRROR_H, MIRROR_V, ROT180
@@ -256,11 +257,36 @@ def magic_constant(square: Square) -> int | None:
     return None
 
 
-def _wrap_diagonal_sums(values: list[list[int]]) -> list[int]:
-    n = len(values)
-    down = [sum(values[i][(i + k) % n] for i in range(n)) for k in range(n)]
-    up = [sum(values[i][(k - i) % n] for i in range(n)) for k in range(n)]
-    return down + up
+@cache
+def lines(n: int) -> tuple[tuple[Category, tuple[int, ...]], ...]:
+    """Every line of an n x n grid as row-major positions, ascending by the
+    lowest category that constrains it: rows and columns (semi-magic), the
+    two main diagonals (magic), then the wrap-around diagonals in both
+    directions (pandiagonal; none for n < 3, where pandiagonal is magic).
+    """
+    out = [(Category.SEMI_MAGIC, tuple(i * n + j for j in range(n))) for i in range(n)]
+    out += [(Category.SEMI_MAGIC, tuple(i * n + j for i in range(n))) for j in range(n)]
+    out.append((Category.MAGIC, tuple(i * n + i for i in range(n))))
+    out.append((Category.MAGIC, tuple(i * n + n - 1 - i for i in range(n))))
+    if n >= 3:
+        out += [
+            (Category.PANDIAGONAL_MAGIC, tuple(i * n + (i + k) % n for i in range(n)))
+            for k in range(1, n)
+        ]
+        out += [
+            (Category.PANDIAGONAL_MAGIC, tuple(i * n + (k - i) % n for i in range(n)))
+            for k in range(n - 1)
+        ]
+    return tuple(out)
+
+
+def line_level(values: Sequence[int], n: int, target: int) -> Category:
+    """The highest category whose lines all sum to ``target``; ``values`` is
+    the row-major grid of cell values."""
+    for category, line in lines(n):
+        if sum(values[p] for p in line) != target:
+            return Category(category - 1)
+    return Category.PANDIAGONAL_MAGIC
 
 
 def classify(square: Square) -> ClassificationReport:
@@ -270,25 +296,16 @@ def classify(square: Square) -> ClassificationReport:
     diagonals too.  Pandiagonal: every wrap-around diagonal in both
     directions as well; for order < 3 pandiagonal coincides with magic.
     """
-    values = square.values()
-    n = square.order
-    sums = {sum(row) for row in values}
-    sums |= {sum(values[i][j] for i in range(n)) for j in range(n)}
+    constant = magic_constant(square)
     category = Category.NOT_MAGIC
-    if len(sums) == 1:
-        category = Category.SEMI_MAGIC
-        constant = sums.pop()
-        main = sum(values[i][i] for i in range(n))
-        anti = sum(values[i][n - 1 - i] for i in range(n))
-        if main == constant and anti == constant:
-            category = Category.MAGIC
-            if n < 3 or all(s == constant for s in _wrap_diagonal_sums(values)):
-                category = Category.PANDIAGONAL_MAGIC
+    if constant is not None:
+        values = [int(cell) for cell in square.cells()]
+        category = line_level(values, square.order, constant)
     return ClassificationReport(
-        order=n,
+        order=square.order,
         width=square.width,
         category=category,
-        constant=magic_constant(square),
+        constant=constant,
         cell_set=_cell_set(square),
     )
 
@@ -305,23 +322,27 @@ def _cell_set(square: Square) -> CellSet:
     return CellSet("other")
 
 
-def _rewrite_cell(cell: str, transform: str) -> str:
+def source_positions(n: int, transform: str) -> tuple[int, ...]:
+    """For each row-major cell of the image, the position it comes from."""
+    flip_rows = transform in (ROT180, MIRROR_V)
+    flip_cols = transform in (ROT180, MIRROR_H)
+    return tuple(
+        (n - 1 - i if flip_rows else i) * n + (n - 1 - j if flip_cols else j)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def cell_image(cell: str, transform: str) -> str | None:
+    """The image of one cell, or None when one of its digits has no image."""
     if transform == DIGIT_REVERSE:
         return cell[::-1]
     table = glyphs.digit_map(transform)
-    mapped = [str(table[int(ch)]) for ch in cell]
-    if transform in (ROT180, MIRROR_H):
-        mapped.reverse()
-    return "".join(mapped)
-
-
-def _check_digits(square: Square, transform: str) -> None:
-    table = glyphs.digit_map(transform)
-    for i, row in enumerate(square.rows):
-        for j, cell in enumerate(row):
-            for ch in cell:
-                if table[int(ch)] is None:
-                    raise InvalidDigitError(transform, i, j, int(ch))
+    mapped = [table[int(ch)] for ch in cell]
+    if None in mapped:
+        return None
+    image = "".join(map(str, mapped))
+    return image if transform == MIRROR_V else image[::-1]
 
 
 def apply_transform(square: Square, transform: str | Iterable[str]) -> Square:
@@ -339,20 +360,17 @@ def apply_transform(square: Square, transform: str | Iterable[str]) -> Square:
 def _apply_atomic(square: Square, transform: str) -> Square:
     if transform not in ATOMIC_TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}")
-    if transform != DIGIT_REVERSE:
-        _check_digits(square, transform)
     n = square.order
-    rows = square.rows
-    if transform == ROT180:
-        grid = [[rows[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    elif transform == MIRROR_H:
-        grid = [[rows[i][n - 1 - j] for j in range(n)] for i in range(n)]
-    elif transform == MIRROR_V:
-        grid = [[rows[n - 1 - i][j] for j in range(n)] for i in range(n)]
-    else:
-        grid = [list(row) for row in rows]
+    cells = list(square.cells())
+    images = [cell_image(cell, transform) for cell in cells]
+    if None in images:
+        k = images.index(None)
+        table = glyphs.digit_map(transform)
+        digit = next(int(ch) for ch in cells[k] if table[int(ch)] is None)
+        raise InvalidDigitError(transform, k // n, k % n, digit)
+    src = source_positions(n, transform)
     return Square.from_rows(
-        tuple(_rewrite_cell(cell, transform) for cell in row) for row in grid
+        tuple(images[src[i * n + j]] for j in range(n)) for i in range(n)
     )
 
 

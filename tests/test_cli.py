@@ -206,9 +206,18 @@ def test_search_jobs_match_serial(capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_search_order_mismatch_is_exit_2(capsys):
-    assert main(["search", "--alphabet", "0125", "--order", "3"]) == 2
-    assert "usage error" in capsys.readouterr().err
+def test_search_via_latin_refusal_is_exit_2(capsys):
+    assert main(["search", "--alphabet", "0123", "--expect", "semi", "--via-latin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
+def test_search_order_flag_is_rejected():
+    # The order is always the alphabet size, so there is no --order flag.
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--alphabet", "0125", "--order", "4"])
+    assert err.value.code == 2
 
 
 def test_palindromes_cli(capsys):

@@ -1,18 +1,16 @@
 """Enumeration, Latin-pair construction/decomposition, palindromic search."""
 
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
 from segmagic import (
     ATOMIC_TRANSFORMS,
     Category,
-    DIGIT_REVERSE,
     LatinPair,
-    ROT180,
     SearchQuery,
+    apply_transform,
     classify,
-    classify_universal,
     decompose_to_latin_pair,
     enumerate_palindromic,
     enumerate_squares,
@@ -22,6 +20,7 @@ from segmagic import (
     parse_square,
 )
 from segmagic.search import LatinPairError
+from segmagic.squares import InvalidDigitError
 
 from conftest import load_fixture
 
@@ -110,47 +109,56 @@ def test_requirement_streams_nest():
     assert magic <= semi
 
 
-def test_universality_filter_and_dedup_order3():
-    # {0,1,2} is closed under rotation (0,1,2 are all rotation-fixed), so the
-    # rotation + digit-reverse universality filter applies cleanly.
-    query = SearchQuery(
-        alphabet=parse_alphabet("012"),
-        order=3,
-        requirement=Category.MAGIC,
-        universality=(ROT180, DIGIT_REVERSE),
-    )
-    universal = list(enumerate_squares(query))
-    for square in universal:
-        report = classify_universal(square, (ROT180, DIGIT_REVERSE))
-        for verdict in report.universality.values():
-            assert verdict.kind == "magic-same-constant"
-            assert verdict.constant == 33
-    deduped = list(
-        enumerate_squares(
-            SearchQuery(
-                alphabet=parse_alphabet("012"),
-                order=3,
-                requirement=Category.MAGIC,
-                universality=(ROT180, DIGIT_REVERSE),
-                dedup=True,
+_TRANSFORM_SUBSETS = [
+    subset
+    for r in range(1, len(ATOMIC_TRANSFORMS) + 1)
+    for subset in combinations(ATOMIC_TRANSFORMS, r)
+]
+
+
+@pytest.mark.parametrize(
+    "transforms", _TRANSFORM_SUBSETS, ids=["+".join(t) for t in _TRANSFORM_SUBSETS]
+)
+@pytest.mark.parametrize("alphabet", ["012", "069", "126", "258"])
+def test_universality_filter_and_dedup_order3(alphabet, transforms):
+    # The filter keeps exactly the squares whose images, built and classified
+    # as whole squares, stay at the level with the same constant.  Over
+    # {1,2,6} a half turn maps 6 to 9, so images leave the alphabet's cells.
+    for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
+        base = dict(alphabet=parse_alphabet(alphabet), order=3, requirement=requirement)
+        target = magic_sum(base["alphabet"])
+        expected = [
+            s.concat
+            for s in enumerate_squares(SearchQuery(**base))
+            if all(_image_keeps_level(s, t, requirement, target) for t in transforms)
+        ]
+        universal = list(enumerate_squares(SearchQuery(universality=transforms, **base)))
+        assert [s.concat for s in universal] == expected
+        deduped = list(
+            enumerate_squares(
+                SearchQuery(universality=transforms, dedup=True, **base)
             )
         )
-    )
-    # Each surviving square is the least member of its orbit, and expanding
-    # the orbits recovers the whole universal set.
-    assert {s.concat for s in deduped} <= {s.concat for s in universal}
-    for square in deduped:
-        assert min(_orbit(square, (ROT180, DIGIT_REVERSE))) == square.concat
-    recovered = set()
-    for square in deduped:
-        recovered |= _orbit(square, (ROT180, DIGIT_REVERSE))
-    assert recovered == {s.concat for s in universal}
+        # Each surviving square is the least member of its orbit, and
+        # expanding the orbits recovers the whole universal set.
+        assert {s.concat for s in deduped} <= set(expected)
+        for square in deduped:
+            assert min(_orbit(square, transforms)) == square.concat
+        recovered = set()
+        for square in deduped:
+            recovered |= _orbit(square, transforms)
+        assert recovered == set(expected)
+
+
+def _image_keeps_level(square, transform, requirement, target):
+    try:
+        report = classify(apply_transform(square, transform))
+    except InvalidDigitError:
+        return False
+    return report.category >= requirement and report.constant == target
 
 
 def _orbit(square, transforms):
-    from segmagic import apply_transform
-    from segmagic.squares import InvalidDigitError
-
     seen = {square.concat: square}
     frontier = [square]
     while frontier:
@@ -253,6 +261,18 @@ def test_via_latin_equals_direct():
             direct = [s.concat for s in enumerate_squares(query)]
             latin = [s.concat for s in enumerate_squares(query, via_latin=True)]
             assert direct == latin, (alphabet, requirement)
+
+
+def test_via_latin_refuses_colliding_pair_sums():
+    # 0+3 = 1+2: the Latin route would find 6,912 of the 353,664 semi-magic
+    # squares over {0,1,2,3}.  A repeated digit does not count: 5+5 = 2+8 in
+    # {1,2,5,8}, which both routes agree on (test_via_latin_equals_direct).
+    for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
+        query = SearchQuery(
+            alphabet=parse_alphabet("0123"), order=4, requirement=requirement
+        )
+        with pytest.raises(ValueError, match="0123"):
+            next(enumerate_squares(query, via_latin=True))
 
 
 def test_via_latin_order5_stream_starts_lexicographically():
