@@ -4,8 +4,8 @@ A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  Enumeration
 backtracks over the cell grid row-major with sum pruning (the hot loop lives
-in the kernel, compiled when available), then filters complete candidates for
-universality and orbit-minimality.
+in ``kernels``), then filters complete candidates for universality and
+orbit-minimality.
 
 Superimposing an orthogonal Latin square pair over D gives a combination
 square whose rows and columns all hold the magic sum.  The converse fails
@@ -22,6 +22,7 @@ refused ones lose squares at both levels).  Order 5 is unverified.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
@@ -93,14 +94,14 @@ def enumerate_squares(
     """Every satisfying combination square, in lexicographic order of the
     row-major cell concatenation, each exactly once.
 
-    The direct route yields nothing until the kernel has returned its whole
-    list of candidates (for order 4 under the pure-Python kernel, about a
-    minute).  ``jobs`` > 1 splits it by first-cell prefix across worker
-    processes; the output order does not depend on it.  ``via_latin``
-    enumerates orthogonal Latin pairs instead of raw cell grids, which
-    streams and is drastically cheaper for order 5, and filters the same
-    way; it raises ValueError (on the first ``next``) for an alphabet where
-    it would miss squares, see the module docstring.
+    The direct route runs the kernel once per first cell and yields each
+    first cell's squares as soon as its call returns, so the first square
+    waits for one of the n**2 calls, not for all of them.  ``jobs`` > 1 runs
+    those calls across worker processes; the output order does not depend
+    on it.  ``via_latin`` enumerates orthogonal Latin pairs instead of raw
+    cell grids, which streams and is drastically cheaper for order 5, and
+    filters the same way; it raises ValueError (on the first ``next``) for
+    an alphabet where it would miss squares, see the module docstring.
     """
     n = query.order
     alphabet = query.alphabet
@@ -148,18 +149,21 @@ def enumerate_squares(
 
 
 def _kernel_grids(n, values, target, level, jobs) -> Iterator[tuple[int, ...]]:
+    """The kernel's grids, one first-cell prefix at a time."""
+    job = partial(kernels.product_square_indices, values, n, target, level)
+    prefixes = [(k,) for k in range(n * n)]
     if jobs > 1:
         # Imported here: the process pool's modules add about 2.7 MB of
         # resident memory to every search, and only --jobs needs them.
         from concurrent.futures import ProcessPoolExecutor
 
-        job = partial(kernels.product_square_indices, values, n, target, level)
-        prefixes = [(k,) for k in range(n * n)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(job, prefixes):
-                yield from batch
+        runner = ProcessPoolExecutor(max_workers=jobs)
+        run = runner.map
     else:
-        yield from kernels.product_square_indices(values, n, target, level)
+        runner, run = nullcontext(), map
+    with runner:
+        for batch in run(job, prefixes):
+            yield from batch
 
 
 def _step(n, element, transform):

@@ -15,6 +15,7 @@ from segmagic import (
     enumerate_palindromic,
     enumerate_squares,
     from_latin_pair,
+    kernels,
     magic_sum,
     parse_alphabet,
     parse_square,
@@ -87,10 +88,19 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     assert len(set(concats)) == len(concats)
 
 
-def test_enumeration_is_lazy():
+def test_enumeration_is_lazy(monkeypatch):
+    calls = []
+    kernel = kernels.product_square_indices
+
+    def recording(values, order, target, level, prefix=()):
+        calls.append(prefix)
+        return kernel(values, order, target, level, prefix)
+
+    monkeypatch.setattr(kernels, "product_square_indices", recording)
     query = SearchQuery(alphabet=parse_alphabet("1258"), order=4)
     first = next(iter(enumerate_squares(query)))
     assert classify(first).category >= Category.MAGIC
+    assert calls == [(0,)]  # one first-cell chunk, not the whole grid space
 
 
 def test_emitted_squares_reverify():
@@ -253,7 +263,7 @@ def test_decompose_rejects_non_product_cells():
 
 
 def test_via_latin_equals_direct():
-    for alphabet, order in (("125", 3), ("012", 3), ("1258", 4)):
+    for alphabet, order in (("125", 3), ("012", 3), ("1258", 4), ("0125", 4)):
         for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
             query = SearchQuery(
                 alphabet=parse_alphabet(alphabet), order=order, requirement=requirement
