@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit status: 0 success, 1 a requested property check failed, 2 usage or
-parse error.  Squares are read from a file argument or standard input;
-stdout carries data, stderr diagnostics.
+parse error, 141 (128 + SIGPIPE) stdout was closed early, as by ``| head``.
+Squares are read from a file argument or standard input; stdout carries
+data, stderr diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dates, search, squares
@@ -233,6 +235,13 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left; send what is still buffered to /dev/null so the
+        # flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

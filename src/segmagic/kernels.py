@@ -16,9 +16,10 @@ def product_square_indices(
     level: int,
     prefix=(),
 ):
-    """Enumerate row-major grids using each of the ``order**2`` values once.
+    """Enumerate row-major ``order``×``order`` grids of distinct values.
 
-    values  ascending distinct integers, one per available cell
+    values  at least ``order**2`` ascending distinct integers, the values
+            the cells may take; each is used at most once
     target  required row/column sum
     level   1 rows+columns, 2 adds the main diagonals, 3 adds every
             wrap-around diagonal (for order < 3 same as level 2)
@@ -33,17 +34,18 @@ def product_square_indices(
     a free pair of distinct values that completes its column.
     """
     n = order
-    m = n * n
+    size = n * n
     vals = list(values)
-    if len(vals) != m:
-        raise ValueError(f"need {m} values, got {len(vals)}")
+    m = len(vals)
+    if m < size:
+        raise ValueError(f"need at least {size} values, got {m}")
     if any(vals[i] >= vals[i + 1] for i in range(m - 1)):
         raise ValueError("values must be ascending and distinct")
     if level not in (1, 2, 3):
         raise ValueError(f"bad level {level}")
     prefix = tuple(prefix)
     if (
-        len(prefix) > m
+        len(prefix) > size
         or len(set(prefix)) != len(prefix)
         or any(not 0 <= p < m for p in prefix)
     ):
@@ -51,10 +53,11 @@ def product_square_indices(
 
     index = {v: c for c, v in enumerate(vals)}
     pair_sums: dict[int, list[tuple[int, int]]] = {}
-    for a, b in combinations(range(m), 2):
-        pair_sums.setdefault(vals[a] + vals[b], []).append((a, b))
+    if n >= 3:  # only row n - 3 reads it
+        for a, b in combinations(range(m), 2):
+            pair_sums.setdefault(vals[a] + vals[b], []).append((a, b))
     used = [False] * m
-    grid = [0] * m
+    grid = [0] * size
     row_sum = [0] * n
     col_sum = [0] * n
     out: list[tuple[int, ...]] = []
@@ -71,7 +74,7 @@ def product_square_indices(
         return False
 
     def extend(pos: int) -> None:
-        if pos == m:
+        if pos == size:
             if line_level([vals[c] for c in grid], n, target) >= level:
                 out.append(tuple(grid))
             return

@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
@@ -98,11 +98,14 @@ def enumerate_squares(
     first cell's squares as soon as its call returns, so the first square
     waits for one of the n**2 calls, not for all of them.  ``jobs`` > 1 runs
     those calls across worker processes; the output order does not depend
-    on it.  ``via_latin`` enumerates orthogonal Latin pairs instead of raw
-    cell grids, which streams and is drastically cheaper for order 5, and
-    filters the same way; it raises ValueError (on the first ``next``) for
-    an alphabet where it would miss squares, see the module docstring.
+    on it, and ``jobs`` < 1 raises ValueError.  ``via_latin`` enumerates
+    orthogonal Latin pairs instead of raw cell grids, which streams and is
+    drastically cheaper for order 5, and filters the same way; it raises
+    ValueError (on the first ``next``) for an alphabet where it would miss
+    squares, see the module docstring.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n = query.order
     alphabet = query.alphabet
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
@@ -332,50 +335,22 @@ def enumerate_palindromic(
 
     Cells are drawn without repetition from the width-w palindromes over the
     alphabet; rows and columns must share one sum (the diagonals are free).
-    Output is lexicographic by row-major concatenation.
+    Output is lexicographic by row-major concatenation.  The first row sets
+    the sum: the kernel runs once per first row, in lexicographic order,
+    with that row as its prefix and that row's sum as its target.
     """
     cells = palindromic_cells(alphabet, width)
     values = [int(c) for c in cells]
     n = order
     if n < 1:
         raise ValueError("order must be at least 1")
-    m = len(cells)
-    if m < n * n:
+    if len(cells) < n * n:
         return
-
-    used = [False] * m
-    grid = [0] * (n * n)
-    row_sum = [0] * n
-    col_sum = [0] * n
-
-    def extend(pos: int, target: int | None) -> Iterator[Square]:
-        if pos == n * n:
+    for row in permutations(range(len(cells)), n):
+        target = sum(values[c] for c in row)
+        for grid in kernels.product_square_indices(
+            values, n, target, Category.SEMI_MAGIC, row
+        ):
             yield Square.from_rows(
                 tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
             )
-            return
-        i, j = divmod(pos, n)
-        for c in range(m):
-            if used[c]:
-                continue
-            v = values[c]
-            rs = row_sum[i] + v
-            cs = col_sum[j] + v
-            if target is not None:
-                if rs > target:
-                    break
-                if j == n - 1 and rs != target:
-                    continue
-                if cs > target or (i == n - 1 and cs != target):
-                    continue
-            row_target = rs if target is None and j == n - 1 else target
-            used[c] = True
-            grid[pos] = c
-            row_sum[i] = rs
-            col_sum[j] = cs
-            yield from extend(pos + 1, row_target)
-            row_sum[i] -= v
-            col_sum[j] -= v
-            used[c] = False
-
-    yield from extend(0, None)

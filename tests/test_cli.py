@@ -1,11 +1,14 @@
 """Command-line interface: flags, exit codes, stream formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import segmagic
 from segmagic.cli import main
 
 from conftest import fixture_path
@@ -14,6 +17,14 @@ FIX_5x5 = str(fixture_path("universal_5x5"))
 FIX_4x4_1258 = str(fixture_path("universal_4x4_1258"))
 FIX_4x4_0125 = str(fixture_path("universal_4x4_0125"))
 FIX_PAL_888 = str(fixture_path("palindromic_3x3_888"))
+
+
+def segmagic_process(*argv, **kwargs):
+    """``python -m segmagic`` in a child that imports this same package."""
+    env = dict(os.environ)
+    src = str(Path(segmagic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "segmagic", *argv], env=env, **kwargs)
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -206,6 +217,14 @@ def test_search_jobs_match_serial(capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_jobs_below_one_is_exit_2(capsys, jobs):
+    assert main(["search", "--alphabet", "012", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
 def test_search_via_latin_refusal_is_exit_2(capsys):
     assert main(["search", "--alphabet", "0123", "--expect", "semi", "--via-latin"]) == 2
     captured = capsys.readouterr()
@@ -331,10 +350,27 @@ def test_render_json(capsys):
 
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "segmagic", "verify", FIX_5x5, "--expect", "magic"],
-        capture_output=True,
-        text=True,
+    proc = segmagic_process(
+        "verify", FIX_5x5, "--expect", "magic",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+    out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
-    assert "pandiagonal-magic" in proc.stdout
+    assert "pandiagonal-magic" in out
+
+
+def test_closed_stdout_is_exit_141_without_traceback():
+    # About 339 KB of squares, more than a pipe holds: the writer must meet
+    # the closed pipe, as under `segmagic search ... | head -1`.
+    proc = segmagic_process(
+        "search", "--alphabet", "0125", "--expect", "semi",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "00 11 22 55\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert "Traceback" not in err

@@ -34,6 +34,23 @@ def test_solutions_are_valid_grids():
         assert diag == anti == 33
 
 
+@pytest.mark.parametrize("target", [15, 16, 17, 18])
+def test_kernel_chooses_from_more_values_than_cells(target):
+    # 10 values for 9 cells: the nine used sum to 3 * target, so the one
+    # left out is 55 - 3 * target, and each choice gives 72 semi-magic grids.
+    values = list(range(1, 11))
+    grids = kernels.product_square_indices(values, 3, target, 1)
+    assert len(grids) == 72
+    assert grids == sorted(grids)
+    for indices in grids:
+        assert len(set(indices)) == 9
+        assert all(0 <= i < len(values) for i in indices)
+        assert {values[i] for i in indices} == set(values) - {55 - 3 * target}
+        grid = [values[i] for i in indices]
+        assert all(sum(grid[r * 3 : r * 3 + 3]) == target for r in range(3))
+        assert all(sum(grid[c::3]) == target for c in range(3))
+
+
 def test_kernel_validation():
     good = _values((0, 1, 2))
     with pytest.raises(ValueError):

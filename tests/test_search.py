@@ -332,12 +332,25 @@ def test_palindromic_lexicographic_and_unique():
 def test_palindromic_width_one_and_two():
     # Width 1: every cell is trivially palindromic, so this is a general
     # distinct-cell semi-magic search over single digits.
-    squares = list(enumerate_palindromic(parse_alphabet("125"), 2, 1))
+    squares = list(enumerate_palindromic(parse_alphabet("123456789"), 3, 1))
+    assert len(squares) == 72
     for square in squares:
         assert classify(square).category >= Category.SEMI_MAGIC
     # Width 2: palindromic cells are the doubled digits, too few distinct
     # cells for a 3x3 grid.
     assert list(enumerate_palindromic(parse_alphabet("12"), 3, 2)) == []
+
+
+@pytest.mark.parametrize(
+    "alphabet, width, count",
+    [("0123456789", 1, 288), ("0125", 3, 1152)],  # 10 and 16 cells for 9 places
+)
+def test_palindromic_more_cells_than_places(alphabet, width, count):
+    squares = list(enumerate_palindromic(parse_alphabet(alphabet), 3, width))
+    assert len(squares) == count
+    concats = [s.concat for s in squares]
+    assert concats == sorted(concats)
+    assert len(set(concats)) == count
 
 
 def test_palindromic_validation():
