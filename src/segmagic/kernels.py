@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .squares import line_level
@@ -31,11 +32,13 @@ def product_square_indices(
     last row are forced (target minus the partial sum) and looked up, not
     searched.  Placing a cell in the second-to-last row needs its column's
     forced last value to be free; placing one in the third-to-last row needs
-    a free pair of distinct values that completes its column.
+    a free pair of distinct values that completes its column.  At level 1
+    those forced cells already make every row and column reach the target,
+    so a complete grid is kept without a leaf check.
     """
     n = order
     size = n * n
-    vals = list(values)
+    vals = tuple(values)
     m = len(vals)
     if m < size:
         raise ValueError(f"need at least {size} values, got {m}")
@@ -51,20 +54,14 @@ def product_square_indices(
     ):
         raise ValueError("bad prefix")
 
-    index = {v: c for c, v in enumerate(vals)}
-    pair_sums: dict[int, list[tuple[int, int]]] = {}
-    if n >= 3:  # only row n - 3 reads it
-        for a, b in combinations(range(m), 2):
-            pair_sums.setdefault(vals[a] + vals[b], []).append((a, b))
+    index = _index(vals)
+    pair_sums = _pair_sums(vals) if n >= 3 else {}  # only row n - 3 reads it
     used = [False] * m
     grid = [0] * size
     row_sum = [0] * n
     col_sum = [0] * n
     out: list[tuple[int, ...]] = []
-
-    def forced(rest: int) -> tuple[int, ...]:
-        c = index.get(rest)
-        return () if c is None else (c,)
+    fixed = len(prefix)
 
     def completes(rest: int, c: int) -> bool:
         """Some free pair of distinct values other than ``c`` sums to rest."""
@@ -75,46 +72,70 @@ def product_square_indices(
 
     def extend(pos: int) -> None:
         if pos == size:
-            if line_level([vals[c] for c in grid], n, target) >= level:
+            if level == 1 or line_level([vals[c] for c in grid], n, target) >= level:
                 out.append(tuple(grid))
             return
         i, j = divmod(pos, n)
         last_col = j == n - 1
         last_row = i == n - 1
-        if pos < len(prefix):
+        one_below = i == n - 2
+        two_below = i == n - 3
+        rs0, cs0 = row_sum[i], col_sum[j]
+        if pos < fixed:
             candidates = (prefix[pos],)
-        elif last_col:
-            candidates = forced(target - row_sum[i])
-        elif last_row:
-            candidates = forced(target - col_sum[j])
+        elif last_col or last_row:
+            c = index.get(target - (rs0 if last_col else cs0))
+            candidates = () if c is None else (c,)
         else:
             candidates = range(m)
         for c in candidates:
             if used[c]:
                 continue
             v = vals[c]
-            rs = row_sum[i] + v
+            rs = rs0 + v
             if rs > target:
                 break  # values ascend, no later candidate fits either
             if last_col and rs != target:
                 continue
-            cs = col_sum[j] + v
+            cs = cs0 + v
             if cs > target or (last_row and cs != target):
                 continue
-            if i == n - 2:
+            if one_below:
                 last = index.get(target - cs)
                 if last is None or last == c or used[last]:
                     continue
-            elif i == n - 3 and not completes(target - cs, c):
+            elif two_below and not completes(target - cs, c):
                 continue
             used[c] = True
             grid[pos] = c
             row_sum[i] = rs
             col_sum[j] = cs
             extend(pos + 1)
-            row_sum[i] -= v
-            col_sum[j] -= v
             used[c] = False
+        # The loop reads rs0 and cs0, so the sums are restored once, here.
+        row_sum[i] = rs0
+        col_sum[j] = cs0
 
     extend(0)
     return out
+
+
+# The per-values tables.  A search calls the kernel once per first row, all
+# over one values tuple, so the tables are built once per search; one entry
+# is kept, since a pair-sum table over many values is large.  Every call
+# shares the same dicts and only reads them.
+
+
+@lru_cache(maxsize=1)
+def _index(vals: tuple[int, ...]) -> dict[int, int]:
+    """Value -> index."""
+    return {v: c for c, v in enumerate(vals)}
+
+
+@lru_cache(maxsize=1)
+def _pair_sums(vals: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Sum -> every index pair (a, b), a < b, whose values have that sum."""
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for a, b in combinations(range(len(vals)), 2):
+        pairs.setdefault(vals[a] + vals[b], []).append((a, b))
+    return {total: tuple(ab) for total, ab in pairs.items()}

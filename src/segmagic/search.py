@@ -94,15 +94,19 @@ def enumerate_squares(
     """Every satisfying combination square, in lexicographic order of the
     row-major cell concatenation, each exactly once.
 
-    The direct route runs the kernel once per first cell and yields each
-    first cell's squares as soon as its call returns, so the first square
-    waits for one of the n**2 calls, not for all of them.  ``jobs`` > 1 runs
-    those calls across worker processes; the output order does not depend
-    on it, and ``jobs`` < 1 raises ValueError.  ``via_latin`` enumerates
-    orthogonal Latin pairs instead of raw cell grids, which streams and is
-    drastically cheaper for order 5, and filters the same way; it raises
-    ValueError (on the first ``next``) for an alphabet where it would miss
-    squares, see the module docstring.
+    The direct route runs the kernel once per admissible first row, in
+    lexicographic order, and yields each row's squares as soon as its call
+    returns, so the first square waits only for the calls up to its row.
+    A first row is admissible when its values reach the magic sum, every
+    universality image's row taken from it does too, and (with ``dedup``)
+    no orbit element that maps row 0 onto row 0 sorts it lower; the rows
+    left out hold only squares the filter below would drop.  ``jobs`` > 1
+    runs those calls across worker processes; the output order does not
+    depend on it, and ``jobs`` < 1 raises ValueError.  ``via_latin``
+    enumerates orthogonal Latin pairs instead of raw cell grids, which
+    streams and is drastically cheaper for order 5, and filters the same
+    way; it raises ValueError (on the first ``next``) for an alphabet where
+    it would miss squares, see the module docstring.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -118,13 +122,6 @@ def enumerate_squares(
                 f"via_latin would miss squares over {''.join(map(str, alphabet))}: "
                 "two pairs of its distinct digits have the same sum"
             )
-        candidates = (
-            grid
-            for grid in _orthogonal_pair_grids(n)
-            if line_level([values[c] for c in grid], n, target) >= query.requirement
-        )
-    else:
-        candidates = _kernel_grids(n, values, target, query.requirement, jobs)
 
     # Transforms as (source positions, image value of each cell index).
     # Images may leave the alphabet (rot180 turns 16 into 91 over {1,2,6}),
@@ -136,6 +133,16 @@ def enumerate_squares(
     orbit = _group(n, identity, query.universality) if query.dedup else ()
     images = [(src, [int(c) for c in image]) for src, image in steps]
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
+
+    if via_latin:
+        candidates = (
+            grid
+            for grid in _orthogonal_pair_grids(n)
+            if line_level([values[c] for c in grid], n, target) >= query.requirement
+        )
+    else:
+        rows = _first_rows(n, values, target, images, orbit)
+        candidates = _kernel_grids(n, values, target, query.requirement, rows, jobs)
 
     for grid in candidates:
         if any(
@@ -151,21 +158,54 @@ def enumerate_squares(
         )
 
 
-def _kernel_grids(n, values, target, level, jobs) -> Iterator[tuple[int, ...]]:
-    """The kernel's grids, one first-cell prefix at a time."""
+def _first_rows(n, values, target, images, orbit) -> Iterator[tuple[int, ...]]:
+    """The admissible first rows of ``enumerate_squares``, ascending.
+
+    A row is n distinct cell indices whose values sum to the target; its
+    last cell is forced.  Every transform maps rows to rows, so a
+    universality image whose row comes from row 0 must sum to the target
+    too.  An orbit element whose image row 0 comes from row 0 and is below
+    it lexicographically puts the whole image below the square, which dedup
+    would then drop.
+    """
+    index = {v: c for c, v in enumerate(values)}
+    sums = [
+        (src[r * n : r * n + n], image)
+        for src, image in images
+        for r in range(n)
+        if max(src[r * n : r * n + n]) < n
+    ]
+    mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
+    for head in permutations(range(len(values)), n - 1):
+        last = index.get(target - sum(values[c] for c in head))
+        if last is None or last in head:
+            continue
+        row = head + (last,)
+        if any(sum(image[row[s]] for s in src) != target for src, image in sums):
+            continue
+        key = [values[c] for c in row]
+        if any([image[row[s]] for s in src] < key for src, image in mins):
+            continue
+        yield row
+
+
+def _kernel_grids(n, values, target, level, rows, jobs) -> Iterator[tuple[int, ...]]:
+    """The kernel's grids, one first-row prefix at a time."""
     job = partial(kernels.product_square_indices, values, n, target, level)
-    prefixes = [(k,) for k in range(n * n)]
     if jobs > 1:
         # Imported here: the process pool's modules add about 2.7 MB of
         # resident memory to every search, and only --jobs needs them.
         from concurrent.futures import ProcessPoolExecutor
 
+        rows = list(rows)
         runner = ProcessPoolExecutor(max_workers=jobs)
-        run = runner.map
+        # Rows go out in chunks of about 1/8 of a worker's share: one task
+        # per row spends more time passing messages than searching.
+        run = partial(runner.map, chunksize=max(1, len(rows) // (8 * jobs)))
     else:
         runner, run = nullcontext(), map
     with runner:
-        for batch in run(job, prefixes):
+        for batch in run(job, rows):
             yield from batch
 
 

@@ -9,8 +9,10 @@ from segmagic import (
     Category,
     LatinPair,
     SearchQuery,
+    Square,
     apply_transform,
     classify,
+    classify_universal,
     decompose_to_latin_pair,
     enumerate_palindromic,
     enumerate_squares,
@@ -21,7 +23,7 @@ from segmagic import (
     parse_square,
 )
 from segmagic.search import LatinPairError
-from segmagic.squares import InvalidDigitError
+from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError
 
 from conftest import load_fixture
 
@@ -100,7 +102,9 @@ def test_enumeration_is_lazy(monkeypatch):
     query = SearchQuery(alphabet=parse_alphabet("1258"), order=4)
     first = next(iter(enumerate_squares(query)))
     assert classify(first).category >= Category.MAGIC
-    assert calls == [(0,)]  # one first-cell chunk, not the whole grid space
+    # One first-row chunk, 11 22 55 88 (the least row reaching 176), not
+    # the whole grid space.
+    assert calls == [(0, 5, 10, 15)]
 
 
 def test_emitted_squares_reverify():
@@ -190,11 +194,67 @@ def test_order4_regression_counts():
     assert sum(1 for _ in enumerate_squares(query)) == 1152
 
 
+@pytest.mark.parametrize("alphabet", ["1258", "0125"])
+def test_first_row_pruning_is_exact(alphabet):
+    # Reference without any pruning: the unprefixed kernel's magic grids,
+    # kept when every image is magic with the same constant and no member
+    # of the orbit sorts below the square.
+    digits = parse_alphabet(alphabet)
+    cells = [f"{x}{y}" for x in digits for y in digits]
+    values = [int(c) for c in cells]
+    expected = []
+    for grid in kernels.product_square_indices(values, 4, magic_sum(digits), 2):
+        square = Square.from_rows(
+            tuple(cells[c] for c in grid[i : i + 4]) for i in range(0, 16, 4)
+        )
+        report = classify_universal(square)
+        if all(v.kind == MAGIC_SAME_CONSTANT for v in report.universality.values()):
+            if min(_orbit(square, ATOMIC_TRANSFORMS)) == square.concat:
+                expected.append(square.concat)
+    assert len(expected) == 144
+    query = SearchQuery(
+        alphabet=digits, order=4, universality=ATOMIC_TRANSFORMS, dedup=True
+    )
+    assert [s.concat for s in enumerate_squares(query)] == expected
+
+
+def test_first_row_pruning_call_counts(monkeypatch):
+    calls = []
+    kernel = kernels.product_square_indices
+
+    def recording(values, order, target, level, prefix=()):
+        calls.append(prefix)
+        return kernel(values, order, target, level, prefix)
+
+    monkeypatch.setattr(kernels, "product_square_indices", recording)
+    base = dict(alphabet=parse_alphabet("1258"), order=4)
+    universal = SearchQuery(universality=ATOMIC_TRANSFORMS, dedup=True, **base)
+    assert sum(1 for _ in enumerate_squares(universal)) == 144
+    assert len(calls) == 156  # admissible first rows
+    assert calls == sorted(calls)
+    calls.clear()
+    assert sum(1 for _ in enumerate_squares(SearchQuery(**base))) == 1152
+    assert len(calls) == 888  # every first row that reaches 176
+    assert calls == sorted(calls)
+
+
 def test_parallel_jobs_keep_order():
     query = SearchQuery(alphabet=parse_alphabet("012"), order=3, requirement=Category.SEMI_MAGIC)
     serial = [s.concat for s in enumerate_squares(query, jobs=1)]
     parallel = [s.concat for s in enumerate_squares(query, jobs=3)]
     assert serial == parallel
+
+
+def test_parallel_jobs_keep_order_on_pruned_rows():
+    query = SearchQuery(
+        alphabet=parse_alphabet("1258"),
+        order=4,
+        universality=ATOMIC_TRANSFORMS,
+        dedup=True,
+    )
+    serial = [s.concat for s in enumerate_squares(query, jobs=1)]
+    assert len(serial) == 144
+    assert [s.concat for s in enumerate_squares(query, jobs=2)] == serial
 
 
 # --- Latin pairs -----------------------------------------------------------------
