@@ -229,9 +229,6 @@ def main(argv=None) -> int:
     except SquareParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"cannot read {err.filename}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -242,6 +239,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except OSError as err:
+        print(f"cannot read {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,8 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .squares import line_level
-
 KERNEL = "pure-python"
 
 
@@ -14,16 +12,14 @@ def product_square_indices(
     values,
     order: int,
     target: int,
-    level: int,
     prefix=(),
 ):
-    """Enumerate row-major ``order``×``order`` grids of distinct values.
+    """Enumerate row-major ``order``×``order`` grids of distinct values whose
+    rows and columns all sum to ``target``; diagonals are left to the caller.
 
     values  at least ``order**2`` ascending distinct integers, the values
             the cells may take; each is used at most once
     target  required row/column sum
-    level   1 rows+columns, 2 adds the main diagonals, 3 adds every
-            wrap-around diagonal (for order < 3 same as level 2)
     prefix  value indices forced into the leading cells
 
     Returns the list of solutions in lexicographic order, each a row-major
@@ -32,9 +28,9 @@ def product_square_indices(
     last row are forced (target minus the partial sum) and looked up, not
     searched.  Placing a cell in the second-to-last row needs its column's
     forced last value to be free; placing one in the third-to-last row needs
-    a free pair of distinct values that completes its column.  At level 1
-    those forced cells already make every row and column reach the target,
-    so a complete grid is kept without a leaf check.
+    a free pair of distinct values that completes its column.  The forced
+    cells make every row and column of a complete grid reach the target, so
+    it is kept without a leaf check.
     """
     n = order
     size = n * n
@@ -44,8 +40,6 @@ def product_square_indices(
         raise ValueError(f"need at least {size} values, got {m}")
     if any(vals[i] >= vals[i + 1] for i in range(m - 1)):
         raise ValueError("values must be ascending and distinct")
-    if level not in (1, 2, 3):
-        raise ValueError(f"bad level {level}")
     prefix = tuple(prefix)
     if (
         len(prefix) > size
@@ -72,8 +66,7 @@ def product_square_indices(
 
     def extend(pos: int) -> None:
         if pos == size:
-            if level == 1 or line_level([vals[c] for c in grid], n, target) >= level:
-                out.append(tuple(grid))
+            out.append(tuple(grid))
             return
         i, j = divmod(pos, n)
         last_col = j == n - 1

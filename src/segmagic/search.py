@@ -2,22 +2,35 @@
 
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
-(tens contribute ten times the digit sum, units once).  Enumeration
-backtracks over the cell grid row-major with sum pruning (the hot loop lives
-in ``kernels``), then filters complete candidates for universality and
-orbit-minimality.
+(tens contribute ten times the digit sum, units once).  Both routes of
+``enumerate_squares`` run the backtracking kernel in ``kernels`` once per
+admissible first row, then filter complete grids by one line-sum check, for
+universality and for orbit-minimality.
 
-Superimposing an orthogonal Latin square pair over D gives a combination
-square whose rows and columns all hold the magic sum.  The converse fails
-for some alphabets: over {0,1,2,3}, where 0+3 = 1+2, the direct route finds
-353,664 semi-magic squares and only 6,912 of them have Latin digit grids.
-``via_latin`` enumeration walks the much smaller Latin-pair space, the
-practical route at order 5, and refuses every alphabet in which two pairs of
+The direct route hands the kernel the cell values and the magic sum.  The
+Latin route (``via_latin``) hands it a key per cell that sums to its target
+along a line exactly when the line's tens digits and its units digits are
+each a permutation of D, so the kernel enumerates superimposed orthogonal
+Latin pairs.  Every such square is semi-magic; the converse fails for some
+alphabets: over {0,1,2,3}, where 0+3 = 1+2, the direct route finds 353,664
+semi-magic squares and only 6,912 of them have Latin digit grids.
+``via_latin`` therefore refuses every alphabet in which two pairs of
 distinct digits have the same sum.  Over the other alphabets both routes
 were checked to give the same squares, at the semi-magic and the magic
 level: all 120 alphabets of order 3 (three distinct digits never collide)
 and the 160 of the 210 alphabets of order 4 that are not refused (the 50
-refused ones lose squares at both levels).  Order 5 is unverified.
+refused ones lose squares at both levels).
+
+At order 5 that rule is not enough: some magic squares over {0,1,2,5,8}
+are not Latin pairs.  From order 5 on, ``via_latin`` also needs mirror-h
+and digit-reverse among the universality transforms, and refuses
+otherwise.  With both, every universal square is a Latin pair:
+digit-reverse makes the tens and the units of each line sum alike, and
+mirror-h, which swaps 2 and 5, then leaves only the digit multisets
+{0,1,2,5,8} and {0,0,0,8,8} for a line; 1 appears five times in the tens
+grid and at most once per line, so every line is {0,1,2,5,8}.  Every other
+alphabet of order 5 or more holds a digit with no mirror-h image, so no
+square over it is universal and the search is empty.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ from typing import Iterable, Iterator, Sequence
 from . import kernels
 from .squares import (
     ATOMIC_TRANSFORMS,
+    DIGIT_REVERSE,
+    MIRROR_H,
     Category,
     Square,
     alphabet_of,
@@ -94,19 +109,21 @@ def enumerate_squares(
     """Every satisfying combination square, in lexicographic order of the
     row-major cell concatenation, each exactly once.
 
-    The direct route runs the kernel once per admissible first row, in
-    lexicographic order, and yields each row's squares as soon as its call
-    returns, so the first square waits only for the calls up to its row.
-    A first row is admissible when its values reach the magic sum, every
-    universality image's row taken from it does too, and (with ``dedup``)
-    no orbit element that maps row 0 onto row 0 sorts it lower; the rows
-    left out hold only squares the filter below would drop.  ``jobs`` > 1
-    runs those calls across worker processes; the output order does not
-    depend on it, and ``jobs`` < 1 raises ValueError.  ``via_latin``
-    enumerates orthogonal Latin pairs instead of raw cell grids, which
-    streams and is drastically cheaper for order 5, and filters the same
-    way; it raises ValueError (on the first ``next``) for an alphabet where
-    it would miss squares, see the module docstring.
+    The kernel runs once per admissible first row, in lexicographic order,
+    and each row's squares are yielded as soon as its call returns, so the
+    first square waits only for the calls up to its row.  The kernel yields
+    grids whose rows and columns reach their target; each is kept when its
+    lines reach ``query.requirement``, every universality image reaches it
+    with the same constant, and (with ``dedup``) no orbit element sorts it
+    lower.  On the direct route a first row is admissible when its values
+    reach the magic sum, every universality image's row taken from it does
+    too, and (with ``dedup``) no orbit element that maps row 0 onto row 0
+    sorts it lower; the rows left out hold only squares the filter would
+    drop.  ``via_latin`` runs the kernel over Latin-pair keys instead (see
+    the module docstring) and prunes first rows by their keys alone; it
+    raises ValueError (on the first ``next``) where it would miss squares.
+    ``jobs`` > 1 runs the kernel calls across worker processes; the output
+    order does not depend on it, and ``jobs`` < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -116,11 +133,17 @@ def enumerate_squares(
     values = [int(c) for c in cells]
     target = magic_sum(alphabet)
     if via_latin:
+        name = "".join(map(str, alphabet))
         sums = [a + b for a, b in combinations(alphabet, 2)]
         if len(set(sums)) != len(sums):
             raise ValueError(
-                f"via_latin would miss squares over {''.join(map(str, alphabet))}: "
+                f"via_latin would miss squares over {name}: "
                 "two pairs of its distinct digits have the same sum"
+            )
+        if n >= 5 and not {MIRROR_H, DIGIT_REVERSE} <= set(query.universality):
+            raise ValueError(
+                f"via_latin would miss squares over {name}: at order {n} it "
+                "needs mirror-h and digit-reverse among the transforms"
             )
 
     # Transforms as (source positions, image value of each cell index).
@@ -135,22 +158,25 @@ def enumerate_squares(
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
 
     if via_latin:
-        candidates = (
-            grid
-            for grid in _orthogonal_pair_grids(n)
-            if line_level([values[c] for c in grid], n, target) >= query.requirement
-        )
+        # Cell (a, b) gets key 2**a * 4**n + 2**b.  A sum of n powers of two
+        # is 2**n - 1 only when it holds each power once, and the units part
+        # stays below 4**n, so a line's keys sum to the target exactly when
+        # its tens indices and its units indices are permutations.  The keys
+        # ascend in cell order, so the kernel's order is the cells' order.
+        keys = [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
+        key_target = (2**n - 1) * (4**n + 1)
+        rows = _first_rows(n, keys, key_target, (), ())
     else:
+        keys, key_target = values, target
         rows = _first_rows(n, values, target, images, orbit)
-        candidates = _kernel_grids(n, values, target, query.requirement, rows, jobs)
 
-    for grid in candidates:
-        if any(
+    for grid in _kernel_grids(n, keys, key_target, rows, jobs):
+        key = [values[c] for c in grid]
+        if line_level(key, n, target) < query.requirement or any(
             line_level([image[grid[s]] for s in src], n, target) < query.requirement
             for src, image in images
         ):
             continue
-        key = [values[c] for c in grid]
         if any([image[grid[s]] for s in src] < key for src, image in orbit):
             continue
         yield Square.from_rows(
@@ -189,9 +215,9 @@ def _first_rows(n, values, target, images, orbit) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def _kernel_grids(n, values, target, level, rows, jobs) -> Iterator[tuple[int, ...]]:
+def _kernel_grids(n, values, target, rows, jobs) -> Iterator[tuple[int, ...]]:
     """The kernel's grids, one first-row prefix at a time."""
-    job = partial(kernels.product_square_indices, values, n, target, level)
+    job = partial(kernels.product_square_indices, values, n, target)
     if jobs > 1:
         # Imported here: the process pool's modules add about 2.7 MB of
         # resident memory to every search, and only --jobs needs them.
@@ -231,51 +257,6 @@ def _group(n, identity, generators):
                 group.add(image)
                 frontier.append(image)
     return group - {identity}
-
-
-def _orthogonal_pair_grids(n: int) -> Iterator[tuple[int, ...]]:
-    """All ordered orthogonal Latin pairs of order n, cell-lexicographic.
-
-    Yields flat grids of pair codes a*n+b; every row and column of the
-    a-grid and of the b-grid is a permutation and all n*n pairs are distinct.
-    Pair codes ascend exactly like the two-digit cells they map to, so the
-    yield order matches the direct enumeration's.
-    """
-    m = n * n
-    grid = [0] * m
-    row_a = [0] * n
-    col_a = [0] * n
-    row_b = [0] * n
-    col_b = [0] * n
-    used = [False] * m
-
-    def extend(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            yield tuple(grid)
-            return
-        i, j = divmod(pos, n)
-        for a in range(n):
-            bit_a = 1 << a
-            if row_a[i] & bit_a or col_a[j] & bit_a:
-                continue
-            for b in range(n):
-                bit_b = 1 << b
-                if row_b[i] & bit_b or col_b[j] & bit_b or used[a * n + b]:
-                    continue
-                grid[pos] = a * n + b
-                used[a * n + b] = True
-                row_a[i] |= bit_a
-                col_a[j] |= bit_a
-                row_b[i] |= bit_b
-                col_b[j] |= bit_b
-                yield from extend(pos + 1)
-                row_a[i] ^= bit_a
-                col_a[j] ^= bit_a
-                row_b[i] ^= bit_b
-                col_b[j] ^= bit_b
-                used[a * n + b] = False
-
-    yield from extend(0)
 
 
 @dataclass(frozen=True)
@@ -388,9 +369,7 @@ def enumerate_palindromic(
         return
     for row in permutations(range(len(cells)), n):
         target = sum(values[c] for c in row)
-        for grid in kernels.product_square_indices(
-            values, n, target, Category.SEMI_MAGIC, row
-        ):
+        for grid in kernels.product_square_indices(values, n, target, row):
             yield Square.from_rows(
                 tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
             )

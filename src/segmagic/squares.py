@@ -333,6 +333,7 @@ def source_positions(n: int, transform: str) -> tuple[int, ...]:
     )
 
 
+@cache
 def cell_image(cell: str, transform: str) -> str | None:
     """The image of one cell, or None when one of its digits has no image."""
     if transform == DIGIT_REVERSE:

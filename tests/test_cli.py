@@ -74,6 +74,11 @@ def test_missing_file_is_exit_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unreadable_path_is_exit_2_without_traceback(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    assert f"cannot read {tmp_path}: " in capsys.readouterr().err
+
+
 def test_parse_error_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.sq"
     bad.write_text("12 3x\n45 67\n", encoding="utf-8")
@@ -230,6 +235,14 @@ def test_search_via_latin_refusal_is_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error" in captured.err
+
+
+@pytest.mark.parametrize("expect", ["semi", "magic"])
+def test_search_via_latin_order5_without_transforms_is_exit_2(capsys, expect):
+    assert main(["search", "--alphabet", "01258", "--expect", expect, "--via-latin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mirror-h and digit-reverse" in captured.err
 
 
 def test_search_order_flag_is_rejected():

@@ -94,9 +94,9 @@ def test_enumeration_is_lazy(monkeypatch):
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, order, target, level, prefix=()):
+    def recording(values, order, target, prefix=()):
         calls.append(prefix)
-        return kernel(values, order, target, level, prefix)
+        return kernel(values, order, target, prefix)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     query = SearchQuery(alphabet=parse_alphabet("1258"), order=4)
@@ -196,14 +196,18 @@ def test_order4_regression_counts():
 
 @pytest.mark.parametrize("alphabet", ["1258", "0125"])
 def test_first_row_pruning_is_exact(alphabet):
-    # Reference without any pruning: the unprefixed kernel's magic grids,
-    # kept when every image is magic with the same constant and no member
-    # of the orbit sorts below the square.
+    # Reference without any pruning: the unprefixed kernel's grids whose
+    # diagonals reach the constant, kept when every image is magic with the
+    # same constant and no member of the orbit sorts below the square.
     digits = parse_alphabet(alphabet)
     cells = [f"{x}{y}" for x in digits for y in digits]
     values = [int(c) for c in cells]
+    target = magic_sum(digits)
     expected = []
-    for grid in kernels.product_square_indices(values, 4, magic_sum(digits), 2):
+    for grid in kernels.product_square_indices(values, 4, target):
+        grid_values = [values[c] for c in grid]
+        if sum(grid_values[0::5]) != target or sum(grid_values[3:13:3]) != target:
+            continue
         square = Square.from_rows(
             tuple(cells[c] for c in grid[i : i + 4]) for i in range(0, 16, 4)
         )
@@ -222,9 +226,9 @@ def test_first_row_pruning_call_counts(monkeypatch):
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, order, target, level, prefix=()):
+    def recording(values, order, target, prefix=()):
         calls.append(prefix)
-        return kernel(values, order, target, level, prefix)
+        return kernel(values, order, target, prefix)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     base = dict(alphabet=parse_alphabet("1258"), order=4)
@@ -345,17 +349,80 @@ def test_via_latin_refuses_colliding_pair_sums():
             next(enumerate_squares(query, via_latin=True))
 
 
+@pytest.mark.parametrize("alphabet, count", [("125", 72), ("1258", 6912)])
+def test_via_latin_yields_exactly_the_latin_pairs(alphabet, count):
+    query = SearchQuery(
+        alphabet=parse_alphabet(alphabet),
+        order=len(alphabet),
+        requirement=Category.SEMI_MAGIC,
+    )
+    squares = list(enumerate_squares(query, via_latin=True))
+    assert len(squares) == count
+    assert all(decompose_to_latin_pair(square) is not None for square in squares)
+
+
+def test_via_latin_parallel_jobs_keep_order():
+    query = SearchQuery(
+        alphabet=parse_alphabet("0125"),
+        order=4,
+        requirement=Category.SEMI_MAGIC,
+        universality=ATOMIC_TRANSFORMS,
+        dedup=True,
+    )
+    serial = [s.concat for s in enumerate_squares(query, via_latin=True)]
+    assert len(serial) == 864
+    assert [s.concat for s in enumerate_squares(query, jobs=2, via_latin=True)] == serial
+
+
+# Magic squares over {0,1,2,5,8} whose digit grids are not Latin: the Latin
+# route cannot yield them, so without mirror-h and digit-reverse it refuses.
+_NOT_LATIN_5x5 = (
+    "00 01 08 82 85\n20 88 15 02 51\n58 11 50 52 05\n80 21 22 28 25\n18 55 81 12 10",
+    "12 10 11 55 88\n52 58 50 01 15\n22 80 05 18 51\n08 00 85 81 02\n82 28 25 21 20",
+)
+
+
+@pytest.mark.parametrize("text", _NOT_LATIN_5x5)
+def test_order5_magic_squares_that_are_not_latin_pairs(text):
+    square = parse_square(text)
+    report = classify_universal(square, ("mirror-h",))
+    assert report.category >= Category.MAGIC
+    assert report.constant == 176
+    assert str(report.cell_set) == "exact-product:01258"
+    assert decompose_to_latin_pair(square) is None
+    assert report.universality["mirror-h"].kind == "not-magic"
+
+
+@pytest.mark.parametrize("requirement", [Category.SEMI_MAGIC, Category.MAGIC])
+@pytest.mark.parametrize(
+    "universality", [(), ("mirror-h",), ("digit-reverse",), ("rot180", "mirror-v")]
+)
+def test_via_latin_order5_needs_mirror_h_and_digit_reverse(requirement, universality):
+    query = SearchQuery(
+        alphabet=parse_alphabet("01258"),
+        order=5,
+        requirement=requirement,
+        universality=universality,
+    )
+    with pytest.raises(ValueError, match="mirror-h and digit-reverse"):
+        next(enumerate_squares(query, via_latin=True))
+
+
 def test_via_latin_order5_stream_starts_lexicographically():
     query = SearchQuery(
-        alphabet=parse_alphabet("01258"), order=5, requirement=Category.MAGIC
+        alphabet=parse_alphabet("01258"),
+        order=5,
+        requirement=Category.MAGIC,
+        universality=("mirror-h", "digit-reverse"),
     )
     first = list(islice(enumerate_squares(query, via_latin=True), 5))
     concats = [s.concat for s in first]
     assert concats == sorted(concats)
     for square in first:
-        report = classify(square)
+        report = classify_universal(square, ("mirror-h", "digit-reverse"))
         assert report.category >= Category.MAGIC
         assert report.constant == 176
+        assert all(v.kind == MAGIC_SAME_CONSTANT for v in report.universality.values())
 
 
 # --- palindromic search -----------------------------------------------------------
