@@ -5,81 +5,65 @@ verifies and classifies magic squares of fixed-width digit-string cells
 (including invariance under rotation, mirrors and per-cell digit reversal),
 enumerates combination squares over restricted digit alphabets, and scans
 calendar dates for digit-alphabet membership.
+
+The public names below are re-exported lazily (PEP 562): ``import segmagic``
+loads no submodule, and the first use of a name loads only the module that
+defines it, so a command that never searches never imports ``search``.
 """
 
-from .dates import digits_of, scan
-from .glyphs import (
-    GLYPH_TRANSFORMS,
-    MIRROR_H,
-    MIRROR_V,
-    ROT180,
-    digit_mask,
-    digit_transform,
-    transform_mask,
-)
-from .search import (
-    LatinPair,
-    LatinPairError,
-    SearchQuery,
-    decompose_to_latin_pair,
-    enumerate_palindromic,
-    enumerate_squares,
-    from_latin_pair,
-    magic_sum,
-    parse_alphabet,
-)
-from .squares import (
-    ATOMIC_TRANSFORMS,
-    Category,
-    ClassificationReport,
-    DIGIT_REVERSE,
-    InvalidDigitError,
-    Square,
-    SquareParseError,
-    alphabet_of,
-    apply_transform,
-    classify,
-    classify_universal,
-    magic_constant,
-    parse_square,
-    render,
-    report_to_json,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOMIC_TRANSFORMS",
-    "Category",
-    "ClassificationReport",
-    "DIGIT_REVERSE",
-    "GLYPH_TRANSFORMS",
-    "InvalidDigitError",
-    "LatinPair",
-    "LatinPairError",
-    "MIRROR_H",
-    "MIRROR_V",
-    "ROT180",
-    "SearchQuery",
-    "Square",
-    "SquareParseError",
-    "alphabet_of",
-    "apply_transform",
-    "classify",
-    "classify_universal",
-    "decompose_to_latin_pair",
-    "digit_mask",
-    "digit_transform",
-    "digits_of",
-    "enumerate_palindromic",
-    "enumerate_squares",
-    "from_latin_pair",
-    "magic_constant",
-    "magic_sum",
-    "parse_alphabet",
-    "parse_square",
-    "render",
-    "report_to_json",
-    "scan",
-    "transform_mask",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    "digits_of": "dates",
+    "scan": "dates",
+    "GLYPH_TRANSFORMS": "glyphs",
+    "MIRROR_H": "glyphs",
+    "MIRROR_V": "glyphs",
+    "ROT180": "glyphs",
+    "digit_mask": "glyphs",
+    "digit_transform": "glyphs",
+    "transform_mask": "glyphs",
+    "LatinPair": "search",
+    "LatinPairError": "search",
+    "SearchQuery": "search",
+    "decompose_to_latin_pair": "search",
+    "enumerate_palindromic": "search",
+    "enumerate_squares": "search",
+    "from_latin_pair": "search",
+    "magic_sum": "search",
+    "ATOMIC_TRANSFORMS": "squares",
+    "Category": "squares",
+    "ClassificationReport": "squares",
+    "DIGIT_REVERSE": "squares",
+    "InvalidDigitError": "squares",
+    "Square": "squares",
+    "SquareParseError": "squares",
+    "alphabet_of": "squares",
+    "apply_transform": "squares",
+    "classify": "squares",
+    "classify_universal": "squares",
+    "magic_constant": "squares",
+    "parse_alphabet": "squares",
+    "parse_square": "squares",
+    "render": "squares",
+    "report_to_json": "squares",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,7 +3,8 @@
 Exit status: 0 success, 1 a requested property check failed, 2 usage or
 parse error, 141 (128 + SIGPIPE) stdout was closed early, as by ``| head``.
 Squares are read from a file argument or standard input; stdout carries
-data, stderr diagnostics.
+data, stderr diagnostics.  Each command imports only the modules it runs:
+``search`` (and the kernel) for search and palindromes, ``dates`` for dates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from . import dates, search, squares
+from . import squares
 from .squares import Category, InvalidDigitError, SquareParseError
 
 _EXPECT_LEVELS = {
@@ -87,7 +88,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_search(args) -> int:
-    alphabet = search.parse_alphabet(args.alphabet)
+    from . import search
+
+    alphabet = squares.parse_alphabet(args.alphabet)
     query = search.SearchQuery(
         alphabet=alphabet,
         order=len(alphabet),
@@ -102,8 +105,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_palindromes(args) -> int:
+    from . import search
+
     stream = search.enumerate_palindromic(
-        search.parse_alphabet(args.alphabet), args.order, args.width
+        squares.parse_alphabet(args.alphabet), args.order, args.width
     )
     count = _emit_squares(stream, args.jsonl, ())
     print(f"{count} squares", file=sys.stderr)
@@ -128,6 +133,8 @@ def _emit_squares(stream, jsonl: bool, transforms) -> int:
 
 
 def cmd_dates(args) -> int:
+    from . import dates
+
     found = dates.scan(
         dates.parse_date(args.start),
         dates.parse_date(args.end),
@@ -204,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", required=True)
     p.add_argument("--from", dest="start", required=True, metavar="DD.MM.YYYY")
     p.add_argument("--to", dest="end", required=True, metavar="DD.MM.YYYY")
-    p.add_argument("--mode", choices=dates.MODES, default=dates.SUBSET_OF)
+    # dates.MODES, spelt out so that building the parser does not import dates
+    p.add_argument("--mode", choices=("subset", "exact"), default="subset")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dates)
 

@@ -8,14 +8,17 @@ alphabet, and in ``exact`` mode when they are precisely the alphabet.
 from __future__ import annotations
 
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date
 from typing import Iterable
 
-from .search import parse_alphabet
+from .squares import parse_alphabet
 
 SUBSET_OF = "subset"
 EXACTLY_USES = "exact"
 MODES = (SUBSET_OF, EXACTLY_USES)
+
+# Days of each month (index 1..12) in a common year.
+_MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 def parse_date(text: str) -> date:
@@ -41,8 +44,14 @@ def digits_of(d: date) -> Counter[int]:
 def scan(
     start: date, end: date, alphabet: str | Iterable[int], mode: str = SUBSET_OF
 ) -> list[date]:
-    """Ascending dates in [start, end] whose digits match the alphabet."""
-    alpha = set(parse_alphabet(alphabet))
+    """Ascending dates in [start, end] whose digits match the alphabet.
+
+    Both modes need every digit of a match in the alphabet, so the scan walks
+    year, then month, then day, and skips a year or a month once the digits
+    written so far leave the alphabet; only the days it reaches are checked
+    against the alphabet, and only the matches against the range.
+    """
+    alpha = {str(d) for d in parse_alphabet(alphabet)}
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if start > end:
@@ -50,11 +59,19 @@ def scan(
     if start.year < 1000 or end.year > 9999:
         raise ValueError("years must have four digits")
     out = []
-    day = start
-    one = timedelta(days=1)
-    while day <= end:
-        digits = set(digits_of(day))
-        if digits == alpha or (mode == SUBSET_OF and digits <= alpha):
-            out.append(day)
-        day += one
+    for year in range(start.year, end.year + 1):
+        year_digits = set(f"{year:04d}")
+        if not year_digits <= alpha:
+            continue
+        leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        for month in range(1, 13):
+            prefix = year_digits | set(f"{month:02d}")
+            if not prefix <= alpha:
+                continue
+            for day in range(1, _MONTH_DAYS[month] + (leap and month == 2) + 1):
+                digits = prefix | set(f"{day:02d}")
+                if digits == alpha or (mode == SUBSET_OF and digits <= alpha):
+                    found = date(year, month, day)
+                    if start <= found <= end:
+                        out.append(found)
     return out

@@ -39,7 +39,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import kernels
 from .squares import (
@@ -51,21 +51,9 @@ from .squares import (
     alphabet_of,
     cell_image,
     line_level,
+    parse_alphabet,
     source_positions,
 )
-
-
-def parse_alphabet(text: str | Iterable[int]) -> tuple[int, ...]:
-    """Normalize an alphabet ("1258" or any digit iterable) to ascending digits."""
-    if isinstance(text, str):
-        digits = [int(ch) if ch.isdigit() and ch.isascii() else -1 for ch in text]
-    else:
-        digits = list(text)
-    if not digits or any(d not in range(10) for d in digits):
-        raise ValueError(f"alphabet must be decimal digits, got {text!r}")
-    if len(set(digits)) != len(digits):
-        raise ValueError(f"alphabet has repeated digits: {text!r}")
-    return tuple(sorted(digits))
 
 
 def magic_sum(alphabet: Sequence[int]) -> int:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import glyphs
 from .glyphs import MIRROR_H, MIRROR_V, ROT180
@@ -87,25 +86,43 @@ _CATEGORY_LABELS = {
 }
 
 
-@dataclass(frozen=True)
 class Square:
-    """An n x n grid of equal-width digit-string cells."""
+    """An n x n grid of equal-width digit-string cells; immutable, compared
+    and hashed by its rows."""
 
     rows: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.rows)
+    def __init__(self, rows: tuple[tuple[str, ...], ...]):
+        n = len(rows)
         if n == 0:
             raise ValueError("square has no rows")
-        if any(len(row) != n for row in self.rows):
+        if any(len(row) != n for row in rows):
             raise ValueError("grid is not square")
-        width = len(self.rows[0][0])
-        for row in self.rows:
+        width = len(rows[0][0])
+        for row in rows:
             for cell in row:
                 if not cell or not set(cell) <= _DIGITS:
                     raise ValueError(f"cell {cell!r} is not a digit string")
                 if len(cell) != width:
                     raise ValueError(f"cell {cell!r} does not have width {width}")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[str]]) -> "Square":
@@ -140,8 +157,20 @@ def alphabet_of(square: Square) -> tuple[int, ...]:
     return tuple(sorted({int(ch) for cell in square.cells() for ch in cell}))
 
 
-@dataclass(frozen=True)
-class CellSet:
+def parse_alphabet(text: str | Iterable[int]) -> tuple[int, ...]:
+    """Normalize an alphabet ("1258" or any digit iterable) to ascending digits."""
+    if isinstance(text, str):
+        digits = [int(ch) if ch.isdigit() and ch.isascii() else -1 for ch in text]
+    else:
+        digits = list(text)
+    if not digits or any(d not in range(10) for d in digits):
+        raise ValueError(f"alphabet must be decimal digits, got {text!r}")
+    if len(set(digits)) != len(digits):
+        raise ValueError(f"alphabet has repeated digits: {text!r}")
+    return tuple(sorted(digits))
+
+
+class CellSet(NamedTuple):
     """What the multiset of cells looks like."""
 
     kind: str  # "exact-product" | "all-distinct" | "other"
@@ -153,8 +182,7 @@ class CellSet:
         return self.kind
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of classifying the image of one transformation."""
 
     kind: str  # see _VERDICT_KINDS
@@ -177,14 +205,13 @@ _VERDICT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     order: int
     width: int
     category: Category
     constant: int | None
     cell_set: CellSet
-    universality: dict[str, Verdict] = field(default_factory=dict)
+    universality: dict[str, Verdict]  # each report gets its own dict
 
 
 def parse_square(text: str) -> Square:
@@ -307,6 +334,7 @@ def classify(square: Square) -> ClassificationReport:
         category=category,
         constant=constant,
         cell_set=_cell_set(square),
+        universality={},
     )
 
 
@@ -402,14 +430,7 @@ def classify_universal(
             verdicts[name] = Verdict(IMAGE_SEMI_MAGIC, constant=rep.constant)
         else:
             verdicts[name] = Verdict(IMAGE_NOT_MAGIC)
-    return ClassificationReport(
-        order=base.order,
-        width=base.width,
-        category=base.category,
-        constant=base.constant,
-        cell_set=base.cell_set,
-        universality=verdicts,
-    )
+    return base._replace(universality=verdicts)
 
 
 def report_to_json(report: ClassificationReport) -> dict:

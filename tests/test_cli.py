@@ -19,12 +19,19 @@ FIX_4x4_0125 = str(fixture_path("universal_4x4_0125"))
 FIX_PAL_888 = str(fixture_path("palindromic_3x3_888"))
 
 
-def segmagic_process(*argv, **kwargs):
-    """``python -m segmagic`` in a child that imports this same package."""
+def child_env() -> dict[str, str]:
+    """The environment of a child that imports this same package."""
     env = dict(os.environ)
     src = str(Path(segmagic.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "segmagic", *argv], env=env, **kwargs)
+    return env
+
+
+def segmagic_process(*argv, **kwargs):
+    """``python -m segmagic`` in a child that imports this same package."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "segmagic", *argv], env=child_env(), **kwargs
+    )
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -387,3 +394,73 @@ def test_closed_stdout_is_exit_141_without_traceback():
         proc.kill()
     assert proc.returncode == 141
     assert "Traceback" not in err
+
+
+# --- imports per command -----------------------------------------------------------
+
+# Runs segmagic.cli.main like ``python -m segmagic`` and lists on stderr every
+# module the command loaded; what the interpreter had loaded before is left out.
+_LIST_IMPORTS = """
+import sys
+before = set(sys.modules)
+from segmagic.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+_SEARCH_MODULES = {"segmagic.search", "segmagic.kernels"}
+
+
+def _modules_loaded_by(*argv) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIST_IMPORTS, *argv],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", FIX_4x4_1258),
+        ("classify", FIX_5x5, "--json"),
+        ("transform", FIX_5x5, "--apply", "rot180"),
+        ("render", FIX_4x4_0125, "--style", "bordered", "--border-label", "88"),
+        ("--help",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_square_commands_load_neither_search_nor_dates(argv):
+    loaded = _modules_loaded_by(*argv)
+    assert "segmagic.squares" in loaded
+    assert not loaded & (_SEARCH_MODULES | {"segmagic.dates", "dataclasses"})
+
+
+def test_dates_command_loads_no_search():
+    loaded = _modules_loaded_by(
+        "dates", "--alphabet", "01258", "--from", "01.01.2010", "--to", "31.12.2010"
+    )
+    assert "segmagic.dates" in loaded
+    assert not loaded & _SEARCH_MODULES
+
+
+def test_dates_mode_choices_are_the_modes():
+    from segmagic import dates
+    from segmagic.cli import build_parser
+
+    base = ["dates", "--alphabet", "1", "--from", "01.01.2010", "--to", "01.01.2010"]
+    assert build_parser().parse_args(base).mode == dates.SUBSET_OF
+    for mode in dates.MODES:
+        assert build_parser().parse_args(base + ["--mode", mode]).mode == mode
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(segmagic)
+    for name in segmagic.__all__:
+        assert getattr(segmagic, name) is not None
+        assert name in listed
+    with pytest.raises(AttributeError):
+        segmagic.no_such_name

@@ -1,7 +1,7 @@
 """Calendar scanning over digit alphabets."""
 
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
@@ -106,3 +106,47 @@ def test_scan_validation():
         scan(date(2010, 5, 1), date(2010, 5, 2), "0125", "superset")
     with pytest.raises(ValueError):
         scan(date(999, 1, 1), date(1000, 1, 1), "0125")
+
+
+# --- the pruned scan against a per-day reference --------------------------------
+
+
+def reference_scan(start, end, alphabet, mode):
+    """Every day of [start, end], checked one by one."""
+    alpha = {int(ch) for ch in alphabet}
+    out = []
+    for k in range((end - start).days + 1):
+        day = start + timedelta(days=k)
+        digits = set(digits_of(day))
+        if digits == alpha or (mode == SUBSET_OF and digits <= alpha):
+            out.append(day)
+    return out
+
+
+RANGES = [
+    (date(2010, 3, 15), date(2011, 7, 20)),  # starts and ends mid-month
+    (date(1999, 12, 31), date(2013, 1, 1)),
+    (date(2000, 2, 1), date(2000, 3, 31)),  # 2000 is a leap year
+    (date(2012, 2, 29), date(2012, 2, 29)),
+    (date(1900, 2, 1), date(1900, 3, 31)),  # 1900 and 2100 are not
+    (date(2100, 2, 1), date(2100, 3, 31)),
+    (date(2111, 11, 12), date(2111, 11, 12)),
+    (date(1000, 1, 1), date(1000, 12, 31)),
+    (date(9998, 11, 30), date(9999, 12, 31)),  # ends on the last date there is
+]
+ALPHABETS = ["01258", "0125", "0129", "01", "129", "19", "1", "0123456789"]
+
+
+@pytest.mark.parametrize("mode", [SUBSET_OF, EXACTLY_USES])
+@pytest.mark.parametrize("start, end", RANGES, ids=lambda d: format_date(d))
+def test_scan_matches_per_day_reference(start, end, mode):
+    for alphabet in ALPHABETS:
+        assert scan(start, end, alphabet, mode) == reference_scan(
+            start, end, alphabet, mode
+        ), alphabet
+
+
+def test_scan_counts_for_01258_over_the_century():
+    start, end = date(2000, 1, 1), date(2099, 12, 31)
+    assert len(scan(start, end, "01258", SUBSET_OF)) == 2450
+    assert len(scan(start, end, "01258", EXACTLY_USES)) == 530

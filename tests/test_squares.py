@@ -24,10 +24,12 @@ from segmagic import (
     report_to_json,
 )
 from segmagic.squares import (
+    CellSet,
     IMAGE_INVALID_DIGITS,
     IMAGE_NOT_MAGIC,
     IMAGE_SEMI_MAGIC,
     MAGIC_SAME_CONSTANT,
+    Verdict,
 )
 
 from conftest import FIXTURES, load_fixture
@@ -95,6 +97,69 @@ def test_square_validates_construction():
         Square((("1", "22"), ("3", "4")))
     with pytest.raises(ValueError):
         Square((("1a", "22"), ("33", "44")))
+
+
+def test_square_repr_equality_and_hash():
+    rows = (("1", "2"), ("3", "4"))
+    square = Square(rows)
+    assert repr(square) == "Square(rows=(('1', '2'), ('3', '4')))"
+    assert square == Square.from_rows([["1", "2"], ["3", "4"]])
+    assert square != Square((("1", "2"), ("4", "3")))
+    assert square != (rows,)
+    assert hash(square) == hash((rows,))
+    assert len({square, Square(rows)}) == 1
+
+
+def test_square_is_immutable():
+    square = Square((("1",),))
+    with pytest.raises(AttributeError):
+        square.rows = (("2",),)
+    with pytest.raises(AttributeError):
+        square.extra = 1
+    with pytest.raises(AttributeError):
+        del square.rows
+    assert square.rows == (("1",),)
+
+
+def test_square_from_rows_is_a_classmethod():
+    # perfbench/spans.py reads and replaces it to count constructions.
+    assert isinstance(Square.__dict__["from_rows"], classmethod)
+
+
+def test_record_reprs_equality_and_hash():
+    cell_set = CellSet("exact-product", (1, 2, 5, 8))
+    assert repr(cell_set) == "CellSet(kind='exact-product', alphabet=(1, 2, 5, 8))"
+    assert repr(CellSet("other")) == "CellSet(kind='other', alphabet=())"
+    assert cell_set == CellSet("exact-product", (1, 2, 5, 8)) != CellSet("other")
+    assert hash(cell_set) == hash(("exact-product", (1, 2, 5, 8)))
+    verdict = Verdict(IMAGE_INVALID_DIGITS, position=(0, 1))
+    assert repr(verdict) == (
+        "Verdict(kind='invalid-digits', constant=None, position=(0, 1))"
+    )
+    assert verdict == Verdict(IMAGE_INVALID_DIGITS, None, (0, 1))
+    assert hash(verdict) == hash((IMAGE_INVALID_DIGITS, None, (0, 1)))
+    assert repr(classify(parse_square("1 2\n3 4"))) == (
+        "ClassificationReport(order=2, width=1, category=<Category.NOT_MAGIC: 0>, "
+        "constant=None, cell_set=CellSet(kind='all-distinct', alphabet=()), "
+        "universality={})"
+    )
+    same = "Verdict(kind='magic-same-constant', constant=176, position=None)"
+    assert repr(classify_universal(load_fixture("universal_4x4_1258"))) == (
+        "ClassificationReport(order=4, width=2, category=<Category.MAGIC: 2>, "
+        "constant=176, cell_set=CellSet(kind='exact-product', alphabet=(1, 2, 5, 8)), "
+        f"universality={{'rot180': {same}, 'mirror-h': {same}, "
+        f"'mirror-v': {same}, 'digit-reverse': {same}}})"
+    )
+    square = load_fixture("universal_5x5")
+    assert classify_universal(square) == classify_universal(square)
+    with pytest.raises(AttributeError):
+        classify(square).constant = 0
+
+
+def test_classify_reports_do_not_share_universality():
+    square = load_fixture("universal_4x4_0125")
+    first, second = classify(square), classify(square)
+    assert first.universality == {} and first.universality is not second.universality
 
 
 def test_str_round_trip():
