@@ -4,13 +4,13 @@ Exit status: 0 success, 1 a requested property check failed, 2 usage or
 parse error, 141 (128 + SIGPIPE) stdout was closed early, as by ``| head``.
 Squares are read from a file argument or standard input; stdout carries
 data, stderr diagnostics.  Each command imports only the modules it runs:
-``search`` (and the kernel) for search and palindromes, ``dates`` for dates.
+``search`` (and the kernel) for search and palindromes, ``dates`` for dates,
+``json`` for JSON output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -44,11 +44,17 @@ def _parse_transforms(text: str) -> tuple[str, ...]:
     return names
 
 
+def _print_json(obj) -> None:
+    import json  # only --json and --jsonl load it
+
+    print(json.dumps(obj))
+
+
 def cmd_verify(args) -> int:
     square = _read_square(args.file)
     report = squares.classify(square)
     if args.json:
-        print(json.dumps(squares.report_to_json(report)))
+        _print_json(squares.report_to_json(report))
     else:
         print(squares.format_report(report))
     failed = []
@@ -70,7 +76,7 @@ def cmd_classify(args) -> int:
     )
     report = squares.classify_universal(square, transforms)
     if args.json:
-        print(json.dumps(squares.report_to_json(report)))
+        _print_json(squares.report_to_json(report))
     else:
         print(squares.format_report(report))
     return 0
@@ -123,7 +129,7 @@ def _emit_squares(stream, jsonl: bool, transforms) -> int:
                 squares.classify_universal(square, transforms)
             )
             record["rows"] = [list(row) for row in square.rows]
-            print(json.dumps(record))
+            _print_json(record)
         else:
             if count:
                 print()
@@ -142,7 +148,7 @@ def cmd_dates(args) -> int:
         args.mode,
     )
     if args.json:
-        print(json.dumps([dates.format_date(d) for d in found]))
+        _print_json([dates.format_date(d) for d in found])
     else:
         for day in found:
             print(dates.format_date(day))

@@ -1,9 +1,17 @@
-"""Backtracking kernel for product-square enumeration."""
+"""Line-set generator for product-square enumeration.
+
+A grid of distinct cells whose rows and columns all reach the target is two
+families of target-sum index sets: n pairwise disjoint row sets and n
+pairwise disjoint column sets, every row set meeting every column set in
+exactly one cell (the exact-cover view of Knuth, "Dancing Links", 2000).
+The generator chooses sets, held as bitmasks over value indices, instead of
+placing one cell at a time.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 KERNEL = "pure-python"
 
@@ -23,14 +31,17 @@ def product_square_indices(
     prefix  value indices forced into the leading cells
 
     Returns the list of solutions in lexicographic order, each a row-major
-    tuple of indices into ``values``.  Pruning: a partial row or column sum
-    never exceeds the target.  The last cell of a row and every cell of the
-    last row are forced (target minus the partial sum) and looked up, not
-    searched.  Placing a cell in the second-to-last row needs its column's
-    forced last value to be free; placing one in the third-to-last row needs
-    a free pair of distinct values that completes its column.  The forced
-    cells make every row and column of a complete grid reach the target, so
-    it is kept without a leaf check.
+    tuple of indices into ``values``; the outputs of the prefixes that split
+    a search concatenate to its unprefixed output.
+
+    The first rows are the prefix's first ``order`` cells or, for a shorter
+    prefix, every ordering of a target-sum set that starts with it.  For
+    each first row R0 the other row sets are every ascending combination of
+    ``order - 1`` target-sum sets disjoint from R0 and from each other.
+    Column j then takes a target-sum set that meets R0 in cell j alone and
+    every other row set in one cell, the columns pairwise disjoint.  Each
+    ordering of the other row sets gives one grid: cell (i, j) is where row
+    set i meets column set j.  Every grid arises exactly once this way.
     """
     n = order
     size = n * n
@@ -48,87 +59,110 @@ def product_square_indices(
     ):
         raise ValueError("bad prefix")
 
-    index = _index(vals)
-    pair_sums = _pair_sums(vals) if n >= 3 else {}  # only row n - 3 reads it
-    used = [False] * m
-    grid = [0] * size
-    row_sum = [0] * n
-    col_sum = [0] * n
+    sets = _line_sets(vals, n).get(target, ())
+    if len(prefix) >= n:
+        head = prefix[:n]
+        heads = [head] if sum(vals[c] for c in head) == target else []
+    else:
+        forced = _mask(prefix)
+        heads = sorted(
+            prefix + rest
+            for s in sets
+            if s & forced == forced
+            for rest in permutations(_cells(s & ~forced))
+        )
     out: list[tuple[int, ...]] = []
-    fixed = len(prefix)
-
-    def completes(rest: int, c: int) -> bool:
-        """Some free pair of distinct values other than ``c`` sums to rest."""
-        for a, b in pair_sums.get(rest, ()):
-            if not (used[a] or used[b]) and c != a and c != b:
-                return True
-        return False
-
-    def extend(pos: int) -> None:
-        if pos == size:
-            out.append(tuple(grid))
-            return
-        i, j = divmod(pos, n)
-        last_col = j == n - 1
-        last_row = i == n - 1
-        one_below = i == n - 2
-        two_below = i == n - 3
-        rs0, cs0 = row_sum[i], col_sum[j]
-        if pos < fixed:
-            candidates = (prefix[pos],)
-        elif last_col or last_row:
-            c = index.get(target - (rs0 if last_col else cs0))
-            candidates = () if c is None else (c,)
-        else:
-            candidates = range(m)
-        for c in candidates:
-            if used[c]:
-                continue
-            v = vals[c]
-            rs = rs0 + v
-            if rs > target:
-                break  # values ascend, no later candidate fits either
-            if last_col and rs != target:
-                continue
-            cs = cs0 + v
-            if cs > target or (last_row and cs != target):
-                continue
-            if one_below:
-                last = index.get(target - cs)
-                if last is None or last == c or used[last]:
-                    continue
-            elif two_below and not completes(target - cs, c):
-                continue
-            used[c] = True
-            grid[pos] = c
-            row_sum[i] = rs
-            col_sum[j] = cs
-            extend(pos + 1)
-            used[c] = False
-        # The loop reads rs0 and cs0, so the sums are restored once, here.
-        row_sum[i] = rs0
-        col_sum[j] = cs0
-
-    extend(0)
+    for head in heads:
+        out += _grids(head, sets, n)
+    if len(prefix) > n:
+        out = [grid for grid in out if grid[: len(prefix)] == prefix]
     return out
 
 
-# The per-values tables.  A search calls the kernel once per first row, all
-# over one values tuple, so the tables are built once per search; one entry
-# is kept, since a pair-sum table over many values is large.  Every call
-# shares the same dicts and only reads them.
+def _grids(head, sets, n):
+    """Every grid with first row ``head``, ascending."""
+    r0 = _mask(head)
+    free = [s for s in sets if not s & r0]
+    # Column j's candidates: the target-sum sets meeting row 0 in head[j] alone.
+    # The last column is what the others leave of the rows' union: it meets
+    # every row set once and its sum is n * target less theirs.
+    meets = [[s for s in sets if s & r0 == 1 << c] for c in head[:-1]]
+    grids = []
+    for rows in _disjoint(free, n - 1):
+        union = r0 | sum(rows)
+        options = [
+            [s for s in candidates if _one_each(s, union, rows)]
+            for candidates in meets
+        ]
+        for cols in _one_of_each(options):
+            cols += (union - sum(cols),)
+            table = [tuple((r & c).bit_length() - 1 for c in cols) for r in rows]
+            grids += [sum(order, head) for order in permutations(table)]
+    grids.sort()
+    return grids
+
+
+def _disjoint(sets, k):
+    """Every combination of ``k`` pairwise disjoint masks of ``sets``, in
+    ascending index order."""
+    if k <= 0:
+        yield ()
+        return
+    if k == 1:
+        yield from ((s,) for s in sets)
+        return
+    for i, s in enumerate(sets):
+        rest = [t for t in sets[i + 1 :] if not t & s]
+        for more in _disjoint(rest, k - 1):
+            yield (s,) + more
+
+
+def _one_of_each(options, used=0):
+    """Every choice of one mask from each list, the masks pairwise disjoint."""
+    if not options:
+        yield ()
+        return
+    for s in options[0]:
+        if not s & used:
+            for more in _one_of_each(options[1:], used | s):
+                yield (s,) + more
+
+
+def _one_each(s, union, rows):
+    """``s`` lies in ``union`` and meets each of ``rows`` at most once; with
+    its one cell in row 0, that is exactly once each."""
+    if s & ~union:
+        return False
+    for r in rows:
+        x = s & r
+        if x & (x - 1):
+            return False
+    return True
+
+
+def _mask(cells):
+    return sum(1 << c for c in cells)
+
+
+def _cells(mask):
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+# A search calls the generator once per first row, all over one values tuple
+# and order, so the table is built once per search.  One entry is kept; every
+# call shares the same dict and only reads it.
 
 
 @lru_cache(maxsize=1)
-def _index(vals: tuple[int, ...]) -> dict[int, int]:
-    """Value -> index."""
-    return {v: c for c, v in enumerate(vals)}
-
-
-@lru_cache(maxsize=1)
-def _pair_sums(vals: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Sum -> every index pair (a, b), a < b, whose values have that sum."""
-    pairs: dict[int, list[tuple[int, int]]] = {}
-    for a, b in combinations(range(len(vals)), 2):
-        pairs.setdefault(vals[a] + vals[b], []).append((a, b))
-    return {total: tuple(ab) for total, ab in pairs.items()}
+def _line_sets(vals: tuple[int, ...], n: int) -> dict[int, tuple[int, ...]]:
+    """Value sum -> every n-subset of indices with that sum, as bitmasks."""
+    sets: dict[int, list[int]] = {}
+    for combo in combinations(range(len(vals)), n):
+        sets.setdefault(sum(vals[c] for c in combo), []).append(_mask(combo))
+    return {total: tuple(masks) for total, masks in sets.items()}

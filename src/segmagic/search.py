@@ -3,9 +3,9 @@
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  Both routes of
-``enumerate_squares`` run the backtracking kernel in ``kernels`` once per
-admissible first row, then filter complete grids by one line-sum check, for
-universality and for orbit-minimality.
+``enumerate_squares`` run the line-set generator in ``kernels`` (the
+kernel) once per admissible first row, then filter complete grids by one
+line-sum check, for universality and for orbit-minimality.
 
 The direct route hands the kernel the cell values and the magic sum.  The
 Latin route (``via_latin``) hands it a key per cell that sums to its target
@@ -36,10 +36,9 @@ square over it is universal and the search is empty.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .squares import (
@@ -61,7 +60,6 @@ def magic_sum(alphabet: Sequence[int]) -> int:
     return 11 * sum(alphabet)
 
 
-@dataclass(frozen=True)
 class SearchQuery:
     """What to enumerate: alphabet, size, magic level, preserved transforms.
 
@@ -69,26 +67,58 @@ class SearchQuery:
     ``requirement`` with the same constant.  ``dedup`` keeps only the
     lexicographically least square of each orbit under the group those
     transforms generate (skipping transforms that break digit validity).
+    Immutable; compared and hashed by its five fields.
     """
+
+    _FIELDS = ("alphabet", "order", "requirement", "universality", "dedup")
 
     alphabet: tuple[int, ...]
     order: int
-    requirement: Category = Category.MAGIC
-    universality: tuple[str, ...] = ()
-    dedup: bool = False
+    requirement: Category
+    universality: tuple[str, ...]
+    dedup: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", parse_alphabet(self.alphabet))
-        if self.order != len(self.alphabet):
-            raise ValueError(
-                f"order {self.order} != alphabet size {len(self.alphabet)}"
-            )
-        if self.requirement < Category.SEMI_MAGIC:
+    def __init__(
+        self,
+        alphabet: Sequence[int],
+        order: int,
+        requirement: Category = Category.MAGIC,
+        universality: Sequence[str] = (),
+        dedup: bool = False,
+    ):
+        alphabet = parse_alphabet(alphabet)
+        if order != len(alphabet):
+            raise ValueError(f"order {order} != alphabet size {len(alphabet)}")
+        if requirement < Category.SEMI_MAGIC:
             raise ValueError("requirement must be at least semi-magic")
-        object.__setattr__(self, "universality", tuple(self.universality))
-        for name in self.universality:
+        universality = tuple(universality)
+        for name in universality:
             if name not in ATOMIC_TRANSFORMS:
                 raise ValueError(f"unknown transform {name!r}")
+        fields = (alphabet, order, requirement, universality, dedup)
+        for name, value in zip(self._FIELDS, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def enumerate_squares(
@@ -247,8 +277,7 @@ def _group(n, identity, generators):
     return group - {identity}
 
 
-@dataclass(frozen=True)
-class LatinPair:
+class LatinPair(NamedTuple):
     """Two Latin squares over 0..n-1 whose superimposed pairs are distinct."""
 
     a: tuple[tuple[int, ...], ...]

@@ -22,7 +22,6 @@ four transformations.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from enum import IntEnum
 from functools import cache
@@ -486,6 +485,8 @@ def render(square: Square, style: str = "plain", border_label: str | None = None
     if style == "plain":
         return "\n".join(" ".join(row) for row in square.rows)
     if style == "json":
+        import json  # only this style needs it
+
         return json.dumps(
             {
                 "order": square.order,

@@ -447,6 +447,32 @@ def test_dates_command_loads_no_search():
     assert not loaded & _SEARCH_MODULES
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--alphabet", "125", "--expect", "semi"),
+        ("palindromes", "--alphabet", "125", "--order", "3", "--width", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_search_commands_load_no_dataclasses(argv):
+    loaded = _modules_loaded_by(*argv)
+    assert _SEARCH_MODULES <= loaded
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", FIX_4x4_1258),
+        ("render", FIX_4x4_0125, "--style", "bordered", "--border-label", "88"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_text_output_loads_no_json(argv):
+    assert "json" not in _modules_loaded_by(*argv)
+
+
 def test_dates_mode_choices_are_the_modes():
     from segmagic import dates
     from segmagic.cli import build_parser

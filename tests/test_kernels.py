@@ -1,6 +1,6 @@
-"""The direct-search kernel: validation, ordering, prefixes, counts."""
+"""The line-set generator: validation, ordering, prefixes, counts."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -78,3 +78,95 @@ def test_kernel_where_latin_route_is_no_oracle():
     assert len(grids) == 22104
     assert grids == sorted(grids)
     assert all(grid[0] == 0 for grid in grids)
+
+
+def _line_sums_hit(grid, values, n, target):
+    cells = [values[i] for i in grid]
+    return all(sum(cells[r * n : r * n + n]) == target for r in range(n)) and all(
+        sum(cells[c::n]) == target for c in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "values, target", [(_values((0, 1, 2)), 33), (list(range(1, 11)), 16)]
+)
+def test_every_prefix_length_filters_the_whole(values, target):
+    # Every one-cell extension of every prefix the solutions have, at every
+    # length from 0 to 9: each call returns exactly the solutions that start
+    # with its prefix, and the calls of one length concatenate to the whole.
+    whole = kernels.product_square_indices(values, 3, target)
+    assert whole
+    heads = [()]
+    for length in range(10):
+        if length:
+            heads = sorted(
+                head + (x,)
+                for head in {g[: length - 1] for g in whole}
+                for x in range(len(values))
+                if x not in head
+            )
+        parts = []
+        for head in heads:
+            got = kernels.product_square_indices(values, 3, target, head)
+            assert got == [g for g in whole if g[:length] == head], head
+            parts += got
+        assert parts == whole
+
+
+@pytest.mark.parametrize(
+    "values, target", [(_values((0, 1, 2)), 33), (list(range(1, 10)), 15)]
+)
+def test_order3_matches_brute_force(values, target):
+    brute = sorted(
+        grid
+        for grid in permutations(range(9))
+        if _line_sums_hit(grid, values, 3, target)
+    )
+    assert kernels.product_square_indices(values, 3, target) == brute
+
+
+def test_order1():
+    values = [3, 5, 7]
+    assert kernels.product_square_indices(values, 1, 5) == [(1,)]
+    assert kernels.product_square_indices(values, 1, 4) == []
+    assert kernels.product_square_indices(values, 1, 5, (1,)) == [(1,)]
+    assert kernels.product_square_indices(values, 1, 5, (0,)) == []
+
+
+@pytest.mark.parametrize("target", range(3, 16))
+def test_order2_has_no_grid_of_distinct_cells(target):
+    # a + b = a + c forces b = c: no 2x2 grid of distinct cells qualifies.
+    values = list(range(1, 9))
+    assert kernels.product_square_indices(values, 2, target) == []
+    assert not any(
+        _line_sums_hit(grid, values, 2, target) for grid in permutations(range(8), 4)
+    )
+
+
+def test_order5_latin_first_row():
+    # Keys 2**a * 4**n + 2**b hit the target along a line exactly when its
+    # tens and units indices are permutations (see search.enumerate_squares).
+    n = 5
+    keys = [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
+    target = (2**n - 1) * (4**n + 1)
+    head = (0, 6, 12, 18, 24)
+    grids = kernels.product_square_indices(keys, n, target, head)
+    assert len(grids) == 432
+    assert grids == sorted(grids)
+    for grid in grids:
+        assert grid[:n] == head and len(set(grid)) == n * n
+        assert _line_sums_hit(grid, keys, n, target)
+
+
+def test_order5_direct_first_row():
+    # First row 00 11 22 55 88 over {0,1,2,5,8}, magic sum 176.
+    n = 5
+    values = _values((0, 1, 2, 5, 8))
+    head = (0, 6, 12, 18, 24)
+    assert [values[c] for c in head] == [0, 11, 22, 55, 88]
+    grids = kernels.product_square_indices(values, n, 176, head)
+    assert len(grids) == 5640
+    assert grids == sorted(grids)
+    for grid in grids:
+        assert grid[:n] == head and len(set(grid)) == n * n
+        assert _line_sums_hit(grid, values, n, 176)

@@ -63,6 +63,47 @@ def test_query_validation():
         SearchQuery(alphabet=(1, 2, 5), order=3, universality=("transpose",))
 
 
+def test_query_normalises_and_compares_by_fields():
+    query = SearchQuery("1258", 4, Category.SEMI_MAGIC, ["rot180"], True)
+    assert query.alphabet == (1, 2, 5, 8)
+    assert query.universality == ("rot180",)
+    # The repr, equality and hash the frozen dataclass gave.
+    assert repr(query) == (
+        "SearchQuery(alphabet=(1, 2, 5, 8), order=4, "
+        "requirement=<Category.SEMI_MAGIC: 1>, universality=('rot180',), dedup=True)"
+    )
+    assert repr(SearchQuery((1, 2, 5), 3)) == (
+        "SearchQuery(alphabet=(1, 2, 5), order=3, "
+        "requirement=<Category.MAGIC: 2>, universality=(), dedup=False)"
+    )
+    fields = ((1, 2, 5, 8), 4, Category.SEMI_MAGIC, ("rot180",), True)
+    assert query == SearchQuery(*fields)
+    assert query != fields
+    assert query != SearchQuery(*fields[:4])
+    assert hash(query) == hash(fields)
+
+
+def test_query_is_immutable():
+    query = SearchQuery(alphabet=(1, 2, 5), order=3)
+    with pytest.raises(AttributeError):
+        query.order = 4
+    with pytest.raises(AttributeError):
+        del query.alphabet
+    with pytest.raises(AttributeError):
+        query.extra = 1
+    assert query.order == 3
+
+
+def test_latin_pair_record():
+    pair = LatinPair(((0,),), ((0,),))
+    assert repr(pair) == "LatinPair(a=((0,),), b=((0,),))"
+    assert pair == LatinPair(a=((0,),), b=((0,),))
+    assert hash(pair) == hash((((0,),), ((0,),)))
+    assert pair.order == 1
+    with pytest.raises(AttributeError):
+        pair.a = ((1,),)
+
+
 # --- direct enumeration ---------------------------------------------------------
 
 
