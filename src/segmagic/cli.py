@@ -104,7 +104,7 @@ def cmd_search(args) -> int:
         universality=_parse_transforms(args.transforms) if args.transforms else (),
         dedup=args.dedup,
     )
-    stream = search.enumerate_squares(query, jobs=args.jobs, via_latin=args.via_latin)
+    stream = search.enumerate_squares(query, via_latin=args.via_latin)
     count = _emit_squares(stream, args.jsonl, query.universality)
     print(f"{count} squares", file=sys.stderr)
     return 0
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transforms", help="universality filter, comma-separated")
     p.add_argument("--dedup", action="store_true", help="orbit-minimal squares only")
     p.add_argument("--via-latin", action="store_true", help="search Latin pairs")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--jsonl", action="store_true", help="one report per line")
     p.set_defaults(func=cmd_search)
 

@@ -35,8 +35,6 @@ square over it is universal and the search is empty.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from functools import partial
 from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -47,6 +45,7 @@ from .squares import (
     MIRROR_H,
     Category,
     Square,
+    _Record,
     alphabet_of,
     cell_image,
     line_level,
@@ -60,7 +59,7 @@ def magic_sum(alphabet: Sequence[int]) -> int:
     return 11 * sum(alphabet)
 
 
-class SearchQuery:
+class SearchQuery(_Record):
     """What to enumerate: alphabet, size, magic level, preserved transforms.
 
     ``universality`` lists the atomic transforms whose image must again reach
@@ -99,30 +98,9 @@ class SearchQuery:
         for name, value in zip(self._FIELDS, fields):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"{self.__class__.__qualname__}({fields})"
-
 
 def enumerate_squares(
-    query: SearchQuery, *, jobs: int = 1, via_latin: bool = False
+    query: SearchQuery, *, via_latin: bool = False
 ) -> Iterator[Square]:
     """Every satisfying combination square, in lexicographic order of the
     row-major cell concatenation, each exactly once.
@@ -140,11 +118,7 @@ def enumerate_squares(
     drop.  ``via_latin`` runs the kernel over Latin-pair keys instead (see
     the module docstring) and prunes first rows by their keys alone; it
     raises ValueError (on the first ``next``) where it would miss squares.
-    ``jobs`` > 1 runs the kernel calls across worker processes; the output
-    order does not depend on it, and ``jobs`` < 1 raises ValueError.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n = query.order
     alphabet = query.alphabet
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
@@ -188,18 +162,20 @@ def enumerate_squares(
         keys, key_target = values, target
         rows = _first_rows(n, values, target, images, orbit)
 
-    for grid in _kernel_grids(n, keys, key_target, rows, jobs):
-        key = [values[c] for c in grid]
-        if line_level(key, n, target) < query.requirement or any(
-            line_level([image[grid[s]] for s in src], n, target) < query.requirement
-            for src, image in images
-        ):
-            continue
-        if any([image[grid[s]] for s in src] < key for src, image in orbit):
-            continue
-        yield Square.from_rows(
-            tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
-        )
+    for row in rows:
+        for grid in kernels.product_square_indices(keys, n, key_target, row):
+            key = [values[c] for c in grid]
+            if line_level(key, n, target) < query.requirement or any(
+                line_level([image[grid[s]] for s in src], n, target)
+                < query.requirement
+                for src, image in images
+            ):
+                continue
+            if any([image[grid[s]] for s in src] < key for src, image in orbit):
+                continue
+            yield Square.from_rows(
+                tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
+            )
 
 
 def _first_rows(n, values, target, images, orbit) -> Iterator[tuple[int, ...]]:
@@ -231,26 +207,6 @@ def _first_rows(n, values, target, images, orbit) -> Iterator[tuple[int, ...]]:
         if any([image[row[s]] for s in src] < key for src, image in mins):
             continue
         yield row
-
-
-def _kernel_grids(n, values, target, rows, jobs) -> Iterator[tuple[int, ...]]:
-    """The kernel's grids, one first-row prefix at a time."""
-    job = partial(kernels.product_square_indices, values, n, target)
-    if jobs > 1:
-        # Imported here: the process pool's modules add about 2.7 MB of
-        # resident memory to every search, and only --jobs needs them.
-        from concurrent.futures import ProcessPoolExecutor
-
-        rows = list(rows)
-        runner = ProcessPoolExecutor(max_workers=jobs)
-        # Rows go out in chunks of about 1/8 of a worker's share: one task
-        # per row spends more time passing messages than searching.
-        run = partial(runner.map, chunksize=max(1, len(rows) // (8 * jobs)))
-    else:
-        runner, run = nullcontext(), map
-    with runner:
-        for batch in run(job, rows):
-            yield from batch
 
 
 def _step(n, element, transform):

@@ -74,20 +74,45 @@ class Category(IntEnum):
 
     @property
     def label(self) -> str:
-        return _CATEGORY_LABELS[self]
+        return self.name.lower().replace("_", "-")
 
 
-_CATEGORY_LABELS = {
-    Category.NOT_MAGIC: "not-magic",
-    Category.SEMI_MAGIC: "semi-magic",
-    Category.MAGIC: "magic",
-    Category.PANDIAGONAL_MAGIC: "pandiagonal-magic",
-}
+class _Record:
+    """Immutable record; compared, hashed and printed by its ``_FIELDS``.
+
+    Subclasses set their fields once, with ``object.__setattr__``.  Equal
+    only to a record of the same class, never to a tuple.
+    """
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-class Square:
+class Square(_Record):
     """An n x n grid of equal-width digit-string cells; immutable, compared
     and hashed by its rows."""
+
+    _FIELDS = ("rows",)
 
     rows: tuple[tuple[str, ...], ...]
 
@@ -105,23 +130,6 @@ class Square:
                 if len(cell) != width:
                     raise ValueError(f"cell {cell!r} does not have width {width}")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[str]]) -> "Square":

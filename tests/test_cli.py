@@ -222,21 +222,6 @@ def test_search_via_latin_matches_direct(capsys):
     assert capsys.readouterr().out == direct
 
 
-def test_search_jobs_match_serial(capsys):
-    assert main(["search", "--alphabet", "012", "--expect", "magic"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["search", "--alphabet", "012", "--expect", "magic", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_search_jobs_below_one_is_exit_2(capsys, jobs):
-    assert main(["search", "--alphabet", "012", "--jobs", jobs]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage error" in captured.err
-
-
 def test_search_via_latin_refusal_is_exit_2(capsys):
     assert main(["search", "--alphabet", "0123", "--expect", "semi", "--via-latin"]) == 2
     captured = capsys.readouterr()
@@ -256,6 +241,13 @@ def test_search_order_flag_is_rejected():
     # The order is always the alphabet size, so there is no --order flag.
     with pytest.raises(SystemExit) as err:
         main(["search", "--alphabet", "0125", "--order", "4"])
+    assert err.value.code == 2
+
+
+def test_search_jobs_flag_is_rejected():
+    # Every search runs one serial, streaming path, so there is no --jobs flag.
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--alphabet", "012", "--jobs", "2"])
     assert err.value.code == 2
 
 

@@ -1,6 +1,6 @@
 """Enumeration, Latin-pair construction/decomposition, palindromic search."""
 
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -140,12 +140,20 @@ def test_enumeration_is_lazy(monkeypatch):
         return kernel(values, order, target, prefix)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
-    query = SearchQuery(alphabet=parse_alphabet("1258"), order=4)
-    first = next(iter(enumerate_squares(query)))
-    assert classify(first).category >= Category.MAGIC
-    # One first-row chunk, 11 22 55 88 (the least row reaching 176), not
-    # the whole grid space.
-    assert calls == [(0, 5, 10, 15)]
+    for alphabet, requirement, via_latin in product(
+        ("1258", "0125"), (Category.SEMI_MAGIC, Category.MAGIC), (False, True)
+    ):
+        calls.clear()
+        query = SearchQuery(
+            alphabet=parse_alphabet(alphabet), order=4, requirement=requirement
+        )
+        first = next(iter(enumerate_squares(query, via_latin=via_latin)))
+        case = (alphabet, requirement, via_latin)
+        assert classify(first).category >= requirement, case
+        # One first-row chunk, the doubled digits (11 22 55 88 over 1258):
+        # the least row that reaches the constant and the least Latin row,
+        # not the whole grid space.
+        assert calls == [(0, 5, 10, 15)], case
 
 
 def test_emitted_squares_reverify():
@@ -233,6 +241,23 @@ def test_order4_regression_counts():
     # Full-order-4 counts; frozen after the first verified run.
     query = SearchQuery(alphabet=parse_alphabet("1258"), order=4, requirement=Category.MAGIC)
     assert sum(1 for _ in enumerate_squares(query)) == 1152
+    # The paper's 144 universal orbits, and the Latin route's semi-magic
+    # orbits over {0,1,2,5}.
+    universal = SearchQuery(
+        alphabet=parse_alphabet("1258"),
+        order=4,
+        universality=ATOMIC_TRANSFORMS,
+        dedup=True,
+    )
+    assert sum(1 for _ in enumerate_squares(universal)) == 144
+    semi = SearchQuery(
+        alphabet=parse_alphabet("0125"),
+        order=4,
+        requirement=Category.SEMI_MAGIC,
+        universality=ATOMIC_TRANSFORMS,
+        dedup=True,
+    )
+    assert sum(1 for _ in enumerate_squares(semi, via_latin=True)) == 864
 
 
 @pytest.mark.parametrize("alphabet", ["1258", "0125"])
@@ -281,25 +306,6 @@ def test_first_row_pruning_call_counts(monkeypatch):
     assert sum(1 for _ in enumerate_squares(SearchQuery(**base))) == 1152
     assert len(calls) == 888  # every first row that reaches 176
     assert calls == sorted(calls)
-
-
-def test_parallel_jobs_keep_order():
-    query = SearchQuery(alphabet=parse_alphabet("012"), order=3, requirement=Category.SEMI_MAGIC)
-    serial = [s.concat for s in enumerate_squares(query, jobs=1)]
-    parallel = [s.concat for s in enumerate_squares(query, jobs=3)]
-    assert serial == parallel
-
-
-def test_parallel_jobs_keep_order_on_pruned_rows():
-    query = SearchQuery(
-        alphabet=parse_alphabet("1258"),
-        order=4,
-        universality=ATOMIC_TRANSFORMS,
-        dedup=True,
-    )
-    serial = [s.concat for s in enumerate_squares(query, jobs=1)]
-    assert len(serial) == 144
-    assert [s.concat for s in enumerate_squares(query, jobs=2)] == serial
 
 
 # --- Latin pairs -----------------------------------------------------------------
@@ -400,19 +406,6 @@ def test_via_latin_yields_exactly_the_latin_pairs(alphabet, count):
     squares = list(enumerate_squares(query, via_latin=True))
     assert len(squares) == count
     assert all(decompose_to_latin_pair(square) is not None for square in squares)
-
-
-def test_via_latin_parallel_jobs_keep_order():
-    query = SearchQuery(
-        alphabet=parse_alphabet("0125"),
-        order=4,
-        requirement=Category.SEMI_MAGIC,
-        universality=ATOMIC_TRANSFORMS,
-        dedup=True,
-    )
-    serial = [s.concat for s in enumerate_squares(query, via_latin=True)]
-    assert len(serial) == 864
-    assert [s.concat for s in enumerate_squares(query, jobs=2, via_latin=True)] == serial
 
 
 # Magic squares over {0,1,2,5,8} whose digit grids are not Latin: the Latin
