@@ -28,7 +28,6 @@ _HOMES = {
     "transform_mask": "glyphs",
     "LatinPair": "search",
     "LatinPairError": "search",
-    "SearchQuery": "search",
     "decompose_to_latin_pair": "search",
     "enumerate_palindromic": "search",
     "enumerate_squares": "search",

@@ -97,15 +97,15 @@ def cmd_search(args) -> int:
     from . import search
 
     alphabet = squares.parse_alphabet(args.alphabet)
-    query = search.SearchQuery(
-        alphabet=alphabet,
-        order=len(alphabet),
-        requirement=_EXPECT_LEVELS[args.expect],
-        universality=_parse_transforms(args.transforms) if args.transforms else (),
+    transforms = _parse_transforms(args.transforms) if args.transforms else ()
+    stream = search.enumerate_squares(
+        alphabet,
+        _EXPECT_LEVELS[args.expect],
+        transforms,
         dedup=args.dedup,
+        via_latin=args.via_latin,
     )
-    stream = search.enumerate_squares(query, via_latin=args.via_latin)
-    count = _emit_squares(stream, args.jsonl, query.universality)
+    count = _emit_squares(stream, args.jsonl, transforms)
     print(f"{count} squares", file=sys.stderr)
     return 0
 

@@ -5,7 +5,8 @@ families of target-sum index sets: n pairwise disjoint row sets and n
 pairwise disjoint column sets, every row set meeting every column set in
 exactly one cell (the exact-cover view of Knuth, "Dancing Links", 2000).
 The generator chooses sets, held as bitmasks over value indices, instead of
-placing one cell at a time.
+placing one cell at a time.  Each call completes one given first row; the
+searches in ``search`` choose the first rows.
 """
 
 from __future__ import annotations
@@ -16,67 +17,40 @@ from itertools import combinations, permutations
 KERNEL = "pure-python"
 
 
-def product_square_indices(
-    values,
-    order: int,
-    target: int,
-    prefix=(),
-):
+def product_square_indices(values, order: int, target: int, row):
     """Enumerate row-major ``order``×``order`` grids of distinct values whose
-    rows and columns all sum to ``target``; diagonals are left to the caller.
+    first row is ``row`` and whose rows and columns all sum to ``target``;
+    diagonals are left to the caller.
 
     values  at least ``order**2`` ascending distinct integers, the values
             the cells may take; each is used at most once
     target  required row/column sum
-    prefix  value indices forced into the leading cells
+    row     the first row: ``order`` distinct indices into ``values``
 
     Returns the list of solutions in lexicographic order, each a row-major
-    tuple of indices into ``values``; the outputs of the prefixes that split
-    a search concatenate to its unprefixed output.
+    tuple of indices into ``values``; empty when ``row`` misses the target.
 
-    The first rows are the prefix's first ``order`` cells or, for a shorter
-    prefix, every ordering of a target-sum set that starts with it.  For
-    each first row R0 the other row sets are every ascending combination of
-    ``order - 1`` target-sum sets disjoint from R0 and from each other.
-    Column j then takes a target-sum set that meets R0 in cell j alone and
-    every other row set in one cell, the columns pairwise disjoint.  Each
-    ordering of the other row sets gives one grid: cell (i, j) is where row
-    set i meets column set j.  Every grid arises exactly once this way.
+    The other row sets are every ascending combination of ``order - 1``
+    target-sum sets disjoint from the first row and from each other.
+    Column j then takes a target-sum set that meets the first row in cell j
+    alone and every other row set in one cell, the columns pairwise
+    disjoint.  Each ordering of the other row sets gives one grid: cell
+    (i, j) is where row set i meets column set j.  Every grid arises exactly
+    once this way.
     """
     n = order
-    size = n * n
     vals = tuple(values)
     m = len(vals)
-    if m < size:
-        raise ValueError(f"need at least {size} values, got {m}")
+    if m < n * n:
+        raise ValueError(f"need at least {n * n} values, got {m}")
     if any(vals[i] >= vals[i + 1] for i in range(m - 1)):
         raise ValueError("values must be ascending and distinct")
-    prefix = tuple(prefix)
-    if (
-        len(prefix) > size
-        or len(set(prefix)) != len(prefix)
-        or any(not 0 <= p < m for p in prefix)
-    ):
-        raise ValueError("bad prefix")
-
-    sets = _line_sets(vals, n).get(target, ())
-    if len(prefix) >= n:
-        head = prefix[:n]
-        heads = [head] if sum(vals[c] for c in head) == target else []
-    else:
-        forced = _mask(prefix)
-        heads = sorted(
-            prefix + rest
-            for s in sets
-            if s & forced == forced
-            for rest in permutations(_cells(s & ~forced))
-        )
-    out: list[tuple[int, ...]] = []
-    for head in heads:
-        out += _grids(head, sets, n)
-    if len(prefix) > n:
-        out = [grid for grid in out if grid[: len(prefix)] == prefix]
-    return out
+    row = tuple(row)
+    if len(row) != n or len(set(row)) != n or any(not 0 <= c < m for c in row):
+        raise ValueError(f"first row must be {n} distinct indices below {m}")
+    if sum(vals[c] for c in row) != target:
+        return []
+    return _grids(row, _line_sets(vals, n).get(target, ()), n)
 
 
 def _grids(head, sets, n):
@@ -142,16 +116,6 @@ def _one_each(s, union, rows):
 
 def _mask(cells):
     return sum(1 << c for c in cells)
-
-
-def _cells(mask):
-    """The set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 # A search calls the generator once per first row, all over one values tuple

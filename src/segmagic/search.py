@@ -3,9 +3,10 @@
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  Both routes of
-``enumerate_squares`` run the line-set generator in ``kernels`` (the
-kernel) once per admissible first row, then filter complete grids by one
-line-sum check, for universality and for orbit-minimality.
+``enumerate_squares`` generate the admissible first rows here and run the
+line-set generator in ``kernels`` (the kernel) once per row, then filter
+complete grids by one line-sum check, for universality and for
+orbit-minimality.
 
 The direct route hands the kernel the cell values and the magic sum.  The
 Latin route (``via_latin``) hands it a key per cell that sums to its target
@@ -45,7 +46,6 @@ from .squares import (
     MIRROR_H,
     Category,
     Square,
-    _Record,
     alphabet_of,
     cell_image,
     line_level,
@@ -59,58 +59,32 @@ def magic_sum(alphabet: Sequence[int]) -> int:
     return 11 * sum(alphabet)
 
 
-class SearchQuery(_Record):
-    """What to enumerate: alphabet, size, magic level, preserved transforms.
+def enumerate_squares(
+    alphabet: Sequence[int] | str,
+    requirement: Category = Category.MAGIC,
+    universality: Sequence[str] = (),
+    *,
+    dedup: bool = False,
+    via_latin: bool = False,
+) -> Iterator[Square]:
+    """Every combination square over ``alphabet`` (digits, or a string such
+    as "1258") whose lines reach ``requirement``, in lexicographic order of
+    the row-major cell concatenation, each exactly once.
 
-    ``universality`` lists the atomic transforms whose image must again reach
-    ``requirement`` with the same constant.  ``dedup`` keeps only the
+    ``universality`` lists the atomic transforms whose image must again
+    reach ``requirement`` with the same constant.  ``dedup`` keeps only the
     lexicographically least square of each orbit under the group those
     transforms generate (skipping transforms that break digit validity).
-    Immutable; compared and hashed by its five fields.
-    """
-
-    _FIELDS = ("alphabet", "order", "requirement", "universality", "dedup")
-
-    alphabet: tuple[int, ...]
-    order: int
-    requirement: Category
-    universality: tuple[str, ...]
-    dedup: bool
-
-    def __init__(
-        self,
-        alphabet: Sequence[int],
-        order: int,
-        requirement: Category = Category.MAGIC,
-        universality: Sequence[str] = (),
-        dedup: bool = False,
-    ):
-        alphabet = parse_alphabet(alphabet)
-        if order != len(alphabet):
-            raise ValueError(f"order {order} != alphabet size {len(alphabet)}")
-        if requirement < Category.SEMI_MAGIC:
-            raise ValueError("requirement must be at least semi-magic")
-        universality = tuple(universality)
-        for name in universality:
-            if name not in ATOMIC_TRANSFORMS:
-                raise ValueError(f"unknown transform {name!r}")
-        fields = (alphabet, order, requirement, universality, dedup)
-        for name, value in zip(self._FIELDS, fields):
-            object.__setattr__(self, name, value)
-
-
-def enumerate_squares(
-    query: SearchQuery, *, via_latin: bool = False
-) -> Iterator[Square]:
-    """Every satisfying combination square, in lexicographic order of the
-    row-major cell concatenation, each exactly once.
+    The order is the alphabet's size.  A non-digit alphabet, a requirement
+    below semi-magic or an unknown transform raises ValueError on the first
+    ``next``, before any kernel call.
 
     The kernel runs once per admissible first row, in lexicographic order,
     and each row's squares are yielded as soon as its call returns, so the
     first square waits only for the calls up to its row.  The kernel yields
     grids whose rows and columns reach their target; each is kept when its
-    lines reach ``query.requirement``, every universality image reaches it
-    with the same constant, and (with ``dedup``) no orbit element sorts it
+    lines reach ``requirement``, every universality image reaches it with
+    the same constant, and (with ``dedup``) no orbit element sorts it
     lower.  On the direct route a first row is admissible when its values
     reach the magic sum, every universality image's row taken from it does
     too, and (with ``dedup``) no orbit element that maps row 0 onto row 0
@@ -119,8 +93,14 @@ def enumerate_squares(
     the module docstring) and prunes first rows by their keys alone; it
     raises ValueError (on the first ``next``) where it would miss squares.
     """
-    n = query.order
-    alphabet = query.alphabet
+    alphabet = parse_alphabet(alphabet)
+    if requirement < Category.SEMI_MAGIC:
+        raise ValueError("requirement must be at least semi-magic")
+    universality = tuple(universality)
+    for name in universality:
+        if name not in ATOMIC_TRANSFORMS:
+            raise ValueError(f"unknown transform {name!r}")
+    n = len(alphabet)
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
     values = [int(c) for c in cells]
     target = magic_sum(alphabet)
@@ -132,7 +112,7 @@ def enumerate_squares(
                 f"via_latin would miss squares over {name}: "
                 "two pairs of its distinct digits have the same sum"
             )
-        if n >= 5 and not {MIRROR_H, DIGIT_REVERSE} <= set(query.universality):
+        if n >= 5 and not {MIRROR_H, DIGIT_REVERSE} <= set(universality):
             raise ValueError(
                 f"via_latin would miss squares over {name}: at order {n} it "
                 "needs mirror-h and digit-reverse among the transforms"
@@ -142,10 +122,10 @@ def enumerate_squares(
     # Images may leave the alphabet (rot180 turns 16 into 91 over {1,2,6}),
     # so they are compared and summed as values, never as indices.
     identity = (tuple(range(n * n)), tuple(cells))
-    steps = [_step(n, identity, t) for t in query.universality]
+    steps = [_step(n, identity, t) for t in universality]
     if None in steps:
         return  # a transform has no image of some cell of every square
-    orbit = _group(n, identity, query.universality) if query.dedup else ()
+    orbit = _group(n, identity, universality) if dedup else ()
     images = [(src, [int(c) for c in image]) for src, image in steps]
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
 
@@ -165,9 +145,8 @@ def enumerate_squares(
     for row in rows:
         for grid in kernels.product_square_indices(keys, n, key_target, row):
             key = [values[c] for c in grid]
-            if line_level(key, n, target) < query.requirement or any(
-                line_level([image[grid[s]] for s in src], n, target)
-                < query.requirement
+            if line_level(key, n, target) < requirement or any(
+                line_level([image[grid[s]] for s in src], n, target) < requirement
                 for src, image in images
             ):
                 continue
@@ -331,7 +310,7 @@ def enumerate_palindromic(
     alphabet; rows and columns must share one sum (the diagonals are free).
     Output is lexicographic by row-major concatenation.  The first row sets
     the sum: the kernel runs once per first row, in lexicographic order,
-    with that row as its prefix and that row's sum as its target.
+    with that row's sum as its target.
     """
     cells = palindromic_cells(alphabet, width)
     values = [int(c) for c in cells]

@@ -77,42 +77,9 @@ class Category(IntEnum):
         return self.name.lower().replace("_", "-")
 
 
-class _Record:
-    """Immutable record; compared, hashed and printed by its ``_FIELDS``.
-
-    Subclasses set their fields once, with ``object.__setattr__``.  Equal
-    only to a record of the same class, never to a tuple.
-    """
-
-    _FIELDS: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class Square(_Record):
+class Square:
     """An n x n grid of equal-width digit-string cells; immutable, compared
-    and hashed by its rows."""
-
-    _FIELDS = ("rows",)
+    and hashed by its rows, and equal only to a ``Square``."""
 
     rows: tuple[tuple[str, ...], ...]
 
@@ -130,6 +97,23 @@ class Square(_Record):
                 if len(cell) != width:
                     raise ValueError(f"cell {cell!r} does not have width {width}")
         object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Square(rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[str]]) -> "Square":
@@ -192,7 +176,7 @@ class CellSet(NamedTuple):
 class Verdict(NamedTuple):
     """Outcome of classifying the image of one transformation."""
 
-    kind: str  # see _VERDICT_KINDS
+    kind: str  # one of the five constants below
     constant: int | None = None
     position: tuple[int, int] | None = None
 
@@ -202,14 +186,6 @@ MAGIC_OTHER_CONSTANT = "magic-other-constant"
 IMAGE_SEMI_MAGIC = "semi-magic"
 IMAGE_INVALID_DIGITS = "invalid-digits"
 IMAGE_NOT_MAGIC = "not-magic"
-
-_VERDICT_KINDS = (
-    MAGIC_SAME_CONSTANT,
-    MAGIC_OTHER_CONSTANT,
-    IMAGE_SEMI_MAGIC,
-    IMAGE_INVALID_DIGITS,
-    IMAGE_NOT_MAGIC,
-)
 
 
 class ClassificationReport(NamedTuple):

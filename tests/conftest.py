@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from segmagic import Square, parse_square
+from segmagic import Square, kernels, parse_square
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,6 +22,31 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str) -> Square:
     return parse_square(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def joined_grids(values, order, target, start=()):
+    """The kernel's grids for every first row that begins with ``start``,
+    joined in ascending order of the rows."""
+    rest = [i for i in range(len(values)) if i not in start]
+    return [
+        grid
+        for tail in permutations(rest, order - len(start))
+        for grid in kernels.product_square_indices(values, order, target, start + tail)
+    ]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """The first rows of every kernel call the test makes, in call order."""
+    calls = []
+    kernel = kernels.product_square_indices
+
+    def recording(values, order, target, row):
+        calls.append(row)
+        return kernel(values, order, target, row)
+
+    monkeypatch.setattr(kernels, "product_square_indices", recording)
+    return calls
 
 
 @pytest.fixture

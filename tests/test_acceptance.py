@@ -17,7 +17,6 @@ from segmagic import (
     MIRROR_H,
     MIRROR_V,
     ROT180,
-    SearchQuery,
     apply_transform,
     classify,
     classify_universal,
@@ -168,10 +167,7 @@ def test_criterion_06_oracle_equivalence_order3():
                 (Category.SEMI_MAGIC, Category.MAGIC, Category.PANDIAGONAL_MAGIC),
                 oracle,
             ):
-                query = SearchQuery(
-                    alphabet=alphabet, order=3, requirement=requirement
-                )
-                pruned = [s.concat for s in enumerate_squares(query)]
+                pruned = [s.concat for s in enumerate_squares(alphabet, requirement)]
                 assert pruned == expected, (alphabet, requirement)
 
 
@@ -189,29 +185,17 @@ def test_criterion_07_full_order4_enumeration():
             ("0125", "universal_4x4_0125"),
         ):
             alphabet = parse_alphabet(alphabet_text)
-            plain = SearchQuery(
-                alphabet=alphabet, order=4, requirement=Category.MAGIC
-            )
-            assert sum(1 for _ in enumerate_squares(plain)) == N4_MAGIC
+            plain = enumerate_squares(alphabet, Category.MAGIC)
+            assert sum(1 for _ in plain) == N4_MAGIC
 
-            universal = SearchQuery(
-                alphabet=alphabet,
-                order=4,
-                requirement=Category.MAGIC,
-                universality=ATOMIC_TRANSFORMS,
-            )
-            found = list(enumerate_squares(universal))
+            found = list(enumerate_squares(alphabet, Category.MAGIC, ATOMIC_TRANSFORMS))
             assert len(found) == N4_UNIVERSAL
             assert load_fixture(fixture) in found
 
-            orbits = SearchQuery(
-                alphabet=alphabet,
-                order=4,
-                requirement=Category.MAGIC,
-                universality=ATOMIC_TRANSFORMS,
-                dedup=True,
+            orbits = enumerate_squares(
+                alphabet, Category.MAGIC, ATOMIC_TRANSFORMS, dedup=True
             )
-            assert sum(1 for _ in enumerate_squares(orbits)) == N4_UNIVERSAL_ORBITS
+            assert sum(1 for _ in orbits) == N4_UNIVERSAL_ORBITS
 
 
 def test_criterion_08_latin_decomposition_round_trip():

@@ -1,4 +1,4 @@
-"""The line-set generator: validation, ordering, prefixes, counts."""
+"""The line-set generator: validation, ordering, first rows, counts."""
 
 from itertools import permutations, product
 
@@ -6,24 +6,16 @@ import pytest
 
 from segmagic import kernels
 
+from conftest import joined_grids
+
 
 def _values(alphabet):
     return sorted(10 * a + b for a, b in product(alphabet, repeat=2))
 
 
-def test_prefix_partition_reconstructs_unprefixed():
-    values = _values((0, 1, 2))
-    whole = kernels.product_square_indices(values, 3, 33)
-    parts = []
-    for k in range(9):
-        parts.extend(kernels.product_square_indices(values, 3, 33, (k,)))
-    assert parts == whole  # the chunks concatenate to the whole, in order
-    assert sorted(whole) == whole  # unprefixed output is already sorted
-
-
 def test_solutions_are_valid_grids():
     values = _values((0, 1, 2))
-    grids = kernels.product_square_indices(values, 3, 33)
+    grids = joined_grids(values, 3, 33)
     assert len(grids) == 72
     magic = 0
     for indices in grids:
@@ -44,7 +36,7 @@ def test_kernel_chooses_from_more_values_than_cells(target):
     # 10 values for 9 cells: the nine used sum to 3 * target, so the one
     # left out is 55 - 3 * target, and each choice gives 72 semi-magic grids.
     values = list(range(1, 11))
-    grids = kernels.product_square_indices(values, 3, target)
+    grids = joined_grids(values, 3, target)
     assert len(grids) == 72
     assert grids == sorted(grids)
     for indices in grids:
@@ -58,23 +50,28 @@ def test_kernel_chooses_from_more_values_than_cells(target):
 
 def test_kernel_validation():
     good = _values((0, 1, 2))
+    row = (0, 4, 8)  # 00 11 22, which reaches 33
+    assert kernels.product_square_indices(good, 3, 33, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good[:5], 3, 33)
+        kernels.product_square_indices(good[:5], 3, 33, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(sorted(good, reverse=True), 3, 33)
+        kernels.product_square_indices(sorted(good, reverse=True), 3, 33, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices([1] * 9, 3, 33)
+        kernels.product_square_indices([1] * 9, 3, 33, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, 3, 33, (1, 1))
+        kernels.product_square_indices(good, 3, 33, (1, 1, 2))
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, 3, 33, (99,))
+        kernels.product_square_indices(good, 3, 33, (0, 4, 99))
+    for wrong_length in ((), (0,), (0, 4), (0, 4, 8, 1)):
+        with pytest.raises(ValueError):
+            kernels.product_square_indices(good, 3, 33, wrong_length)
 
 
 def test_kernel_where_latin_route_is_no_oracle():
     # 0+3 = 1+2, so the Latin route misses squares over {0,1,2,3}: pin the
     # kernel's own count for first cell 00.
     values = _values((0, 1, 2, 3))
-    grids = kernels.product_square_indices(values, 4, 66, (0,))
+    grids = joined_grids(values, 4, 66, (0,))
     assert len(grids) == 22104
     assert grids == sorted(grids)
     assert all(grid[0] == 0 for grid in grids)
@@ -88,32 +85,6 @@ def _line_sums_hit(grid, values, n, target):
 
 
 @pytest.mark.parametrize(
-    "values, target", [(_values((0, 1, 2)), 33), (list(range(1, 11)), 16)]
-)
-def test_every_prefix_length_filters_the_whole(values, target):
-    # Every one-cell extension of every prefix the solutions have, at every
-    # length from 0 to 9: each call returns exactly the solutions that start
-    # with its prefix, and the calls of one length concatenate to the whole.
-    whole = kernels.product_square_indices(values, 3, target)
-    assert whole
-    heads = [()]
-    for length in range(10):
-        if length:
-            heads = sorted(
-                head + (x,)
-                for head in {g[: length - 1] for g in whole}
-                for x in range(len(values))
-                if x not in head
-            )
-        parts = []
-        for head in heads:
-            got = kernels.product_square_indices(values, 3, target, head)
-            assert got == [g for g in whole if g[:length] == head], head
-            parts += got
-        assert parts == whole
-
-
-@pytest.mark.parametrize(
     "values, target", [(_values((0, 1, 2)), 33), (list(range(1, 10)), 15)]
 )
 def test_order3_matches_brute_force(values, target):
@@ -122,13 +93,13 @@ def test_order3_matches_brute_force(values, target):
         for grid in permutations(range(9))
         if _line_sums_hit(grid, values, 3, target)
     )
-    assert kernels.product_square_indices(values, 3, target) == brute
+    assert joined_grids(values, 3, target) == brute
 
 
 def test_order1():
     values = [3, 5, 7]
-    assert kernels.product_square_indices(values, 1, 5) == [(1,)]
-    assert kernels.product_square_indices(values, 1, 4) == []
+    assert joined_grids(values, 1, 5) == [(1,)]
+    assert joined_grids(values, 1, 4) == []
     assert kernels.product_square_indices(values, 1, 5, (1,)) == [(1,)]
     assert kernels.product_square_indices(values, 1, 5, (0,)) == []
 
@@ -137,7 +108,7 @@ def test_order1():
 def test_order2_has_no_grid_of_distinct_cells(target):
     # a + b = a + c forces b = c: no 2x2 grid of distinct cells qualifies.
     values = list(range(1, 9))
-    assert kernels.product_square_indices(values, 2, target) == []
+    assert joined_grids(values, 2, target) == []
     assert not any(
         _line_sums_hit(grid, values, 2, target) for grid in permutations(range(8), 4)
     )

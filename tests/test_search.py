@@ -8,7 +8,6 @@ from segmagic import (
     ATOMIC_TRANSFORMS,
     Category,
     LatinPair,
-    SearchQuery,
     Square,
     apply_transform,
     classify,
@@ -17,7 +16,6 @@ from segmagic import (
     enumerate_palindromic,
     enumerate_squares,
     from_latin_pair,
-    kernels,
     magic_sum,
     parse_alphabet,
     parse_square,
@@ -25,7 +23,7 @@ from segmagic import (
 from segmagic.search import LatinPairError
 from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError
 
-from conftest import load_fixture
+from conftest import joined_grids, load_fixture
 
 
 # --- alphabets and constants --------------------------------------------------
@@ -54,44 +52,17 @@ def test_magic_sum_values():
     assert magic_sum((0, 1, 2, 5)) == 88
 
 
-def test_query_validation():
+@pytest.mark.parametrize(
+    "args",
+    [("12a",), ("125", Category.NOT_MAGIC), ("125", Category.MAGIC, ("transpose",))],
+    ids=["non-digit-alphabet", "not-magic", "unknown-transform"],
+)
+@pytest.mark.parametrize("via_latin", [False, True])
+def test_bad_input_raises_on_first_next(kernel_calls, args, via_latin):
+    stream = enumerate_squares(*args, via_latin=via_latin)
     with pytest.raises(ValueError):
-        SearchQuery(alphabet=(1, 2, 5), order=4)
-    with pytest.raises(ValueError):
-        SearchQuery(alphabet=(1, 2, 5), order=3, requirement=Category.NOT_MAGIC)
-    with pytest.raises(ValueError):
-        SearchQuery(alphabet=(1, 2, 5), order=3, universality=("transpose",))
-
-
-def test_query_normalises_and_compares_by_fields():
-    query = SearchQuery("1258", 4, Category.SEMI_MAGIC, ["rot180"], True)
-    assert query.alphabet == (1, 2, 5, 8)
-    assert query.universality == ("rot180",)
-    # The repr, equality and hash the frozen dataclass gave.
-    assert repr(query) == (
-        "SearchQuery(alphabet=(1, 2, 5, 8), order=4, "
-        "requirement=<Category.SEMI_MAGIC: 1>, universality=('rot180',), dedup=True)"
-    )
-    assert repr(SearchQuery((1, 2, 5), 3)) == (
-        "SearchQuery(alphabet=(1, 2, 5), order=3, "
-        "requirement=<Category.MAGIC: 2>, universality=(), dedup=False)"
-    )
-    fields = ((1, 2, 5, 8), 4, Category.SEMI_MAGIC, ("rot180",), True)
-    assert query == SearchQuery(*fields)
-    assert query != fields
-    assert query != SearchQuery(*fields[:4])
-    assert hash(query) == hash(fields)
-
-
-def test_query_is_immutable():
-    query = SearchQuery(alphabet=(1, 2, 5), order=3)
-    with pytest.raises(AttributeError):
-        query.order = 4
-    with pytest.raises(AttributeError):
-        del query.alphabet
-    with pytest.raises(AttributeError):
-        query.extra = 1
-    assert query.order == 3
+        next(stream)
+    assert kernel_calls == []
 
 
 def test_latin_pair_record():
@@ -111,54 +82,36 @@ def test_order3_counts():
     # Regression constants, first computed by this enumeration and confirmed
     # by the 9!-permutation oracle in the acceptance suite.
     for alphabet, magic_count in (("125", 0), ("012", 8), ("258", 8)):
-        base = dict(alphabet=parse_alphabet(alphabet), order=3)
-        semi = list(enumerate_squares(SearchQuery(requirement=Category.SEMI_MAGIC, **base)))
-        magic = list(enumerate_squares(SearchQuery(requirement=Category.MAGIC, **base)))
-        pan = list(
-            enumerate_squares(
-                SearchQuery(requirement=Category.PANDIAGONAL_MAGIC, **base)
-            )
-        )
+        semi = list(enumerate_squares(alphabet, Category.SEMI_MAGIC))
+        magic = list(enumerate_squares(alphabet, Category.MAGIC))
+        pan = list(enumerate_squares(alphabet, Category.PANDIAGONAL_MAGIC))
         assert len(semi) == 72, alphabet
         assert len(magic) == magic_count, alphabet
         assert pan == []  # no 3x3 square has all wrap diagonals magic
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
-    query = SearchQuery(alphabet=parse_alphabet("125"), order=3, requirement=Category.SEMI_MAGIC)
-    concats = [s.concat for s in enumerate_squares(query)]
+    concats = [s.concat for s in enumerate_squares("125", Category.SEMI_MAGIC)]
     assert concats == sorted(concats)
     assert len(set(concats)) == len(concats)
 
 
-def test_enumeration_is_lazy(monkeypatch):
-    calls = []
-    kernel = kernels.product_square_indices
-
-    def recording(values, order, target, prefix=()):
-        calls.append(prefix)
-        return kernel(values, order, target, prefix)
-
-    monkeypatch.setattr(kernels, "product_square_indices", recording)
+def test_enumeration_is_lazy(kernel_calls):
     for alphabet, requirement, via_latin in product(
         ("1258", "0125"), (Category.SEMI_MAGIC, Category.MAGIC), (False, True)
     ):
-        calls.clear()
-        query = SearchQuery(
-            alphabet=parse_alphabet(alphabet), order=4, requirement=requirement
-        )
-        first = next(iter(enumerate_squares(query, via_latin=via_latin)))
+        kernel_calls.clear()
+        first = next(enumerate_squares(alphabet, requirement, via_latin=via_latin))
         case = (alphabet, requirement, via_latin)
         assert classify(first).category >= requirement, case
-        # One first-row chunk, the doubled digits (11 22 55 88 over 1258):
+        # One first-row call, the doubled digits (11 22 55 88 over 1258):
         # the least row that reaches the constant and the least Latin row,
         # not the whole grid space.
-        assert calls == [(0, 5, 10, 15)], case
+        assert kernel_calls == [(0, 5, 10, 15)], case
 
 
 def test_emitted_squares_reverify():
-    query = SearchQuery(alphabet=parse_alphabet("012"), order=3, requirement=Category.MAGIC)
-    for square in enumerate_squares(query):
+    for square in enumerate_squares("012", Category.MAGIC):
         report = classify(square)
         assert report.category >= Category.MAGIC
         assert report.constant == 33
@@ -166,9 +119,8 @@ def test_emitted_squares_reverify():
 
 
 def test_requirement_streams_nest():
-    base = dict(alphabet=parse_alphabet("012"), order=3)
-    semi = {s.concat for s in enumerate_squares(SearchQuery(requirement=Category.SEMI_MAGIC, **base))}
-    magic = {s.concat for s in enumerate_squares(SearchQuery(requirement=Category.MAGIC, **base))}
+    semi = {s.concat for s in enumerate_squares("012", Category.SEMI_MAGIC)}
+    magic = {s.concat for s in enumerate_squares("012", Category.MAGIC)}
     assert magic <= semi
 
 
@@ -188,20 +140,15 @@ def test_universality_filter_and_dedup_order3(alphabet, transforms):
     # as whole squares, stay at the level with the same constant.  Over
     # {1,2,6} a half turn maps 6 to 9, so images leave the alphabet's cells.
     for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
-        base = dict(alphabet=parse_alphabet(alphabet), order=3, requirement=requirement)
-        target = magic_sum(base["alphabet"])
+        target = magic_sum(parse_alphabet(alphabet))
         expected = [
             s.concat
-            for s in enumerate_squares(SearchQuery(**base))
+            for s in enumerate_squares(alphabet, requirement)
             if all(_image_keeps_level(s, t, requirement, target) for t in transforms)
         ]
-        universal = list(enumerate_squares(SearchQuery(universality=transforms, **base)))
+        universal = list(enumerate_squares(alphabet, requirement, transforms))
         assert [s.concat for s in universal] == expected
-        deduped = list(
-            enumerate_squares(
-                SearchQuery(universality=transforms, dedup=True, **base)
-            )
-        )
+        deduped = list(enumerate_squares(alphabet, requirement, transforms, dedup=True))
         # Each surviving square is the least member of its orbit, and
         # expanding the orbits recovers the whole universal set.
         assert {s.concat for s in deduped} <= set(expected)
@@ -239,38 +186,28 @@ def _orbit(square, transforms):
 
 def test_order4_regression_counts():
     # Full-order-4 counts; frozen after the first verified run.
-    query = SearchQuery(alphabet=parse_alphabet("1258"), order=4, requirement=Category.MAGIC)
-    assert sum(1 for _ in enumerate_squares(query)) == 1152
+    assert sum(1 for _ in enumerate_squares("1258", Category.MAGIC)) == 1152
     # The paper's 144 universal orbits, and the Latin route's semi-magic
     # orbits over {0,1,2,5}.
-    universal = SearchQuery(
-        alphabet=parse_alphabet("1258"),
-        order=4,
-        universality=ATOMIC_TRANSFORMS,
-        dedup=True,
+    universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
+    assert sum(1 for _ in universal) == 144
+    semi = enumerate_squares(
+        "0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True, via_latin=True
     )
-    assert sum(1 for _ in enumerate_squares(universal)) == 144
-    semi = SearchQuery(
-        alphabet=parse_alphabet("0125"),
-        order=4,
-        requirement=Category.SEMI_MAGIC,
-        universality=ATOMIC_TRANSFORMS,
-        dedup=True,
-    )
-    assert sum(1 for _ in enumerate_squares(semi, via_latin=True)) == 864
+    assert sum(1 for _ in semi) == 864
 
 
 @pytest.mark.parametrize("alphabet", ["1258", "0125"])
 def test_first_row_pruning_is_exact(alphabet):
-    # Reference without any pruning: the unprefixed kernel's grids whose
-    # diagonals reach the constant, kept when every image is magic with the
-    # same constant and no member of the orbit sorts below the square.
+    # Reference without any pruning: the kernel's grids over every first row
+    # whose diagonals reach the constant, kept when every image is magic with
+    # the same constant and no member of the orbit sorts below the square.
     digits = parse_alphabet(alphabet)
     cells = [f"{x}{y}" for x in digits for y in digits]
     values = [int(c) for c in cells]
     target = magic_sum(digits)
     expected = []
-    for grid in kernels.product_square_indices(values, 4, target):
+    for grid in joined_grids(values, 4, target):
         grid_values = [values[c] for c in grid]
         if sum(grid_values[0::5]) != target or sum(grid_values[3:13:3]) != target:
             continue
@@ -282,30 +219,19 @@ def test_first_row_pruning_is_exact(alphabet):
             if min(_orbit(square, ATOMIC_TRANSFORMS)) == square.concat:
                 expected.append(square.concat)
     assert len(expected) == 144
-    query = SearchQuery(
-        alphabet=digits, order=4, universality=ATOMIC_TRANSFORMS, dedup=True
-    )
-    assert [s.concat for s in enumerate_squares(query)] == expected
+    found = enumerate_squares(alphabet, universality=ATOMIC_TRANSFORMS, dedup=True)
+    assert [s.concat for s in found] == expected
 
 
-def test_first_row_pruning_call_counts(monkeypatch):
-    calls = []
-    kernel = kernels.product_square_indices
-
-    def recording(values, order, target, prefix=()):
-        calls.append(prefix)
-        return kernel(values, order, target, prefix)
-
-    monkeypatch.setattr(kernels, "product_square_indices", recording)
-    base = dict(alphabet=parse_alphabet("1258"), order=4)
-    universal = SearchQuery(universality=ATOMIC_TRANSFORMS, dedup=True, **base)
-    assert sum(1 for _ in enumerate_squares(universal)) == 144
-    assert len(calls) == 156  # admissible first rows
-    assert calls == sorted(calls)
-    calls.clear()
-    assert sum(1 for _ in enumerate_squares(SearchQuery(**base))) == 1152
-    assert len(calls) == 888  # every first row that reaches 176
-    assert calls == sorted(calls)
+def test_first_row_pruning_call_counts(kernel_calls):
+    universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
+    assert sum(1 for _ in universal) == 144
+    assert len(kernel_calls) == 156  # admissible first rows
+    assert kernel_calls == sorted(kernel_calls)
+    kernel_calls.clear()
+    assert sum(1 for _ in enumerate_squares("1258")) == 1152
+    assert len(kernel_calls) == 888  # every first row that reaches 176
+    assert kernel_calls == sorted(kernel_calls)
 
 
 # --- Latin pairs -----------------------------------------------------------------
@@ -374,13 +300,13 @@ def test_decompose_rejects_non_product_cells():
 
 
 def test_via_latin_equals_direct():
-    for alphabet, order in (("125", 3), ("012", 3), ("1258", 4), ("0125", 4)):
+    for alphabet in ("125", "012", "1258", "0125"):
         for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
-            query = SearchQuery(
-                alphabet=parse_alphabet(alphabet), order=order, requirement=requirement
-            )
-            direct = [s.concat for s in enumerate_squares(query)]
-            latin = [s.concat for s in enumerate_squares(query, via_latin=True)]
+            direct = [s.concat for s in enumerate_squares(alphabet, requirement)]
+            latin = [
+                s.concat
+                for s in enumerate_squares(alphabet, requirement, via_latin=True)
+            ]
             assert direct == latin, (alphabet, requirement)
 
 
@@ -389,21 +315,13 @@ def test_via_latin_refuses_colliding_pair_sums():
     # squares over {0,1,2,3}.  A repeated digit does not count: 5+5 = 2+8 in
     # {1,2,5,8}, which both routes agree on (test_via_latin_equals_direct).
     for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
-        query = SearchQuery(
-            alphabet=parse_alphabet("0123"), order=4, requirement=requirement
-        )
         with pytest.raises(ValueError, match="0123"):
-            next(enumerate_squares(query, via_latin=True))
+            next(enumerate_squares("0123", requirement, via_latin=True))
 
 
 @pytest.mark.parametrize("alphabet, count", [("125", 72), ("1258", 6912)])
 def test_via_latin_yields_exactly_the_latin_pairs(alphabet, count):
-    query = SearchQuery(
-        alphabet=parse_alphabet(alphabet),
-        order=len(alphabet),
-        requirement=Category.SEMI_MAGIC,
-    )
-    squares = list(enumerate_squares(query, via_latin=True))
+    squares = list(enumerate_squares(alphabet, Category.SEMI_MAGIC, via_latin=True))
     assert len(squares) == count
     assert all(decompose_to_latin_pair(square) is not None for square in squares)
 
@@ -432,24 +350,15 @@ def test_order5_magic_squares_that_are_not_latin_pairs(text):
     "universality", [(), ("mirror-h",), ("digit-reverse",), ("rot180", "mirror-v")]
 )
 def test_via_latin_order5_needs_mirror_h_and_digit_reverse(requirement, universality):
-    query = SearchQuery(
-        alphabet=parse_alphabet("01258"),
-        order=5,
-        requirement=requirement,
-        universality=universality,
-    )
     with pytest.raises(ValueError, match="mirror-h and digit-reverse"):
-        next(enumerate_squares(query, via_latin=True))
+        next(enumerate_squares("01258", requirement, universality, via_latin=True))
 
 
 def test_via_latin_order5_stream_starts_lexicographically():
-    query = SearchQuery(
-        alphabet=parse_alphabet("01258"),
-        order=5,
-        requirement=Category.MAGIC,
-        universality=("mirror-h", "digit-reverse"),
+    stream = enumerate_squares(
+        "01258", Category.MAGIC, ("mirror-h", "digit-reverse"), via_latin=True
     )
-    first = list(islice(enumerate_squares(query, via_latin=True), 5))
+    first = list(islice(stream, 5))
     concats = [s.concat for s in first]
     assert concats == sorted(concats)
     for square in first:
