@@ -2,36 +2,36 @@
 
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
-(tens contribute ten times the digit sum, units once).  Both routes of
-``enumerate_squares`` generate the admissible first rows here and run the
-line-set generator in ``kernels`` (the kernel) once per row, then filter
-complete grids by one line-sum check, for universality and for
-orbit-minimality.
+(tens contribute ten times the digit sum, units once).  ``enumerate_squares``
+generates the admissible first rows here and runs the line-set generator in
+``kernels`` (the kernel) once per row, then filters complete grids by one
+line-sum check, for universality and for orbit-minimality.
 
-The direct route hands the kernel the cell values and the magic sum.  The
-Latin route (``via_latin``) hands it a key per cell that sums to its target
-along a line exactly when the line's tens digits and its units digits are
-each a permutation of D, so the kernel enumerates superimposed orthogonal
-Latin pairs.  Every such square is semi-magic; the converse fails for some
-alphabets: over {0,1,2,3}, where 0+3 = 1+2, the direct route finds 353,664
-semi-magic squares and only 6,912 of them have Latin digit grids.
-``via_latin`` therefore refuses every alphabet in which two pairs of
-distinct digits have the same sum.  Over the other alphabets both routes
-were checked to give the same squares, at the semi-magic and the magic
-level: all 120 alphabets of order 3 (three distinct digits never collide)
-and the 160 of the 210 alphabets of order 4 that are not refused (the 50
-refused ones lose squares at both levels).
+The kernel runs on one of two routes.  The direct route hands it the cell
+values and the magic sum.  The Latin route hands it a key per cell that
+sums to its target along a line exactly when the line's tens digits and its
+units digits are each a permutation of D, so the kernel enumerates
+superimposed orthogonal Latin pairs.  Every such square is semi-magic; the
+converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2, there
+are 353,664 semi-magic squares and only 6,912 of them have Latin digit
+grids.  The search takes the Latin route only where it misses no square, so
+the route changes the speed, never the stream, and the direct route
+everywhere else.  Up to order 4 that is every alphabet in which no two
+pairs of distinct digits have the same sum: both routes were checked to
+give the same squares at the semi-magic and the magic level over every
+alphabet of one to three digits (three distinct digits never collide) and
+the 160 of the 210 alphabets of order 4 without such sums.
 
 At order 5 that rule is not enough: some magic squares over {0,1,2,5,8}
-are not Latin pairs.  From order 5 on, ``via_latin`` also needs mirror-h
-and digit-reverse among the universality transforms, and refuses
-otherwise.  With both, every universal square is a Latin pair:
-digit-reverse makes the tens and the units of each line sum alike, and
-mirror-h, which swaps 2 and 5, then leaves only the digit multisets
-{0,1,2,5,8} and {0,0,0,8,8} for a line; 1 appears five times in the tens
-grid and at most once per line, so every line is {0,1,2,5,8}.  Every other
-alphabet of order 5 or more holds a digit with no mirror-h image, so no
-square over it is universal and the search is empty.
+are not Latin pairs.  From order 5 on, the Latin route also needs mirror-h
+and digit-reverse among the universality transforms.  With both, every
+universal square is a Latin pair: digit-reverse makes the tens and the
+units of each line sum alike, and mirror-h, which swaps 2 and 5, then
+leaves only the digit multisets {0,1,2,5,8} and {0,0,0,8,8} for a line; 1
+appears five times in the tens grid and at most once per line, so every
+line is {0,1,2,5,8}.  Every other alphabet of order 5 or more holds a digit
+with no mirror-h image, so no square over it is universal and the search is
+empty.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def enumerate_squares(
     universality: Sequence[str] = (),
     *,
     dedup: bool = False,
-    via_latin: bool = False,
 ) -> Iterator[Square]:
     """Every combination square over ``alphabet`` (digits, or a string such
     as "1258") whose lines reach ``requirement``, in lexicographic order of
@@ -76,26 +75,27 @@ def enumerate_squares(
     lexicographically least square of each orbit under the group those
     transforms generate (skipping transforms that break digit validity).
     The order is the alphabet's size.  A non-digit alphabet, a requirement
-    below semi-magic or an unknown transform raises ValueError on the first
-    ``next``, before any kernel call.
+    outside semi-magic to pandiagonal, a string for ``universality`` or an
+    unknown transform raises ValueError on the first ``next``, before any
+    kernel call.
 
     The kernel runs once per admissible first row, in lexicographic order,
     and each row's squares are yielded as soon as its call returns, so the
     first square waits only for the calls up to its row.  The kernel yields
-    grids whose rows and columns reach their target; each is kept when its
-    lines reach ``requirement``, every universality image reaches it with
-    the same constant, and (with ``dedup``) no orbit element sorts it
-    lower.  On the direct route a first row is admissible when its values
-    reach the magic sum, every universality image's row taken from it does
-    too, and (with ``dedup``) no orbit element that maps row 0 onto row 0
-    sorts it lower; the rows left out hold only squares the filter would
-    drop.  ``via_latin`` runs the kernel over Latin-pair keys instead (see
-    the module docstring) and prunes first rows by their keys alone; it
-    raises ValueError (on the first ``next``) where it would miss squares.
+    grids whose rows and columns reach their target on the route the search
+    takes (see the module docstring); each is kept when its lines reach
+    ``requirement``, every universality image reaches it with the same
+    constant, and (with ``dedup``) no orbit element sorts it lower.  A first
+    row is admissible when it reaches the route's target, every universality
+    image's row taken from it reaches the magic sum, and (with ``dedup``) no
+    orbit element that maps row 0 onto row 0 sorts it lower; the rows left
+    out hold only squares the filter would drop.
     """
     alphabet = parse_alphabet(alphabet)
-    if requirement < Category.SEMI_MAGIC:
-        raise ValueError("requirement must be at least semi-magic")
+    if not Category.SEMI_MAGIC <= requirement <= Category.PANDIAGONAL_MAGIC:
+        raise ValueError("requirement must be semi-magic, magic or pandiagonal")
+    if isinstance(universality, str):
+        raise ValueError(f"universality must be transform names, not {universality!r}")
     universality = tuple(universality)
     for name in universality:
         if name not in ATOMIC_TRANSFORMS:
@@ -104,19 +104,6 @@ def enumerate_squares(
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
     values = [int(c) for c in cells]
     target = magic_sum(alphabet)
-    if via_latin:
-        name = "".join(map(str, alphabet))
-        sums = [a + b for a, b in combinations(alphabet, 2)]
-        if len(set(sums)) != len(sums):
-            raise ValueError(
-                f"via_latin would miss squares over {name}: "
-                "two pairs of its distinct digits have the same sum"
-            )
-        if n >= 5 and not {MIRROR_H, DIGIT_REVERSE} <= set(universality):
-            raise ValueError(
-                f"via_latin would miss squares over {name}: at order {n} it "
-                "needs mirror-h and digit-reverse among the transforms"
-            )
 
     # Transforms as (source positions, image value of each cell index).
     # Images may leave the alphabet (rot180 turns 16 into 91 over {1,2,6}),
@@ -129,20 +116,22 @@ def enumerate_squares(
     images = [(src, [int(c) for c in image]) for src, image in steps]
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
 
-    if via_latin:
-        # Cell (a, b) gets key 2**a * 4**n + 2**b.  A sum of n powers of two
-        # is 2**n - 1 only when it holds each power once, and the units part
-        # stays below 4**n, so a line's keys sum to the target exactly when
-        # its tens indices and its units indices are permutations.  The keys
-        # ascend in cell order, so the kernel's order is the cells' order.
+    pair_sums = [a + b for a, b in combinations(alphabet, 2)]
+    if len(set(pair_sums)) == len(pair_sums) and (
+        n < 5 or {MIRROR_H, DIGIT_REVERSE} <= set(universality)
+    ):
+        # The Latin route: cell (a, b) gets key 2**a * 4**n + 2**b.  A sum
+        # of n powers of two is 2**n - 1 only when it holds each power once,
+        # and the units part stays below 4**n, so a line's keys sum to the
+        # target exactly when its tens indices and its units indices are
+        # permutations.  The keys ascend in cell order, so the kernel's
+        # order is the cells' order.
         keys = [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
         key_target = (2**n - 1) * (4**n + 1)
-        rows = _first_rows(n, keys, key_target, (), ())
     else:
         keys, key_target = values, target
-        rows = _first_rows(n, values, target, images, orbit)
 
-    for row in rows:
+    for row in _first_rows(n, keys, key_target, values, target, images, orbit):
         for grid in kernels.product_square_indices(keys, n, key_target, row):
             key = [values[c] for c in grid]
             if line_level(key, n, target) < requirement or any(
@@ -157,17 +146,19 @@ def enumerate_squares(
             )
 
 
-def _first_rows(n, values, target, images, orbit) -> Iterator[tuple[int, ...]]:
+def _first_rows(
+    n, keys, key_target, values, target, images, orbit
+) -> Iterator[tuple[int, ...]]:
     """The admissible first rows of ``enumerate_squares``, ascending.
 
-    A row is n distinct cell indices whose values sum to the target; its
+    A row is n distinct cell indices whose keys sum to the key target; its
     last cell is forced.  Every transform maps rows to rows, so a
     universality image whose row comes from row 0 must sum to the target
-    too.  An orbit element whose image row 0 comes from row 0 and is below
-    it lexicographically puts the whole image below the square, which dedup
-    would then drop.
+    in values too.  An orbit element whose image row 0 comes from row 0 and
+    is below it lexicographically puts the whole image below the square,
+    which dedup would then drop.
     """
-    index = {v: c for c, v in enumerate(values)}
+    index = {k: c for c, k in enumerate(keys)}
     sums = [
         (src[r * n : r * n + n], image)
         for src, image in images
@@ -175,8 +166,8 @@ def _first_rows(n, values, target, images, orbit) -> Iterator[tuple[int, ...]]:
         if max(src[r * n : r * n + n]) < n
     ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
-    for head in permutations(range(len(values)), n - 1):
-        last = index.get(target - sum(values[c] for c in head))
+    for head in permutations(range(len(keys)), n - 1):
+        last = index.get(key_target - sum(keys[c] for c in head))
         if last is None or last in head:
             continue
         row = head + (last,)

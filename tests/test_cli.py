@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, stream formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -27,10 +28,13 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def segmagic_process(*argv, **kwargs):
-    """``python -m segmagic`` in a child that imports this same package."""
+def segmagic_process(*argv, env=None, **kwargs):
+    """``python -m segmagic`` in a child that imports this same package,
+    with ``env`` added to its environment."""
     return subprocess.Popen(
-        [sys.executable, "-m", "segmagic", *argv], env=child_env(), **kwargs
+        [sys.executable, "-m", "segmagic", *argv],
+        env={**child_env(), **(env or {})},
+        **kwargs,
     )
 
 
@@ -222,19 +226,47 @@ def test_search_via_latin_matches_direct(capsys):
     assert capsys.readouterr().out == direct
 
 
-def test_search_via_latin_refusal_is_exit_2(capsys):
-    assert main(["search", "--alphabet", "0123", "--expect", "semi", "--via-latin"]) == 2
+def test_search_via_latin_on_colliding_pair_sums_matches_direct(capsys):
+    # 0+3 = 1+2: over 0123 the search takes the direct route, and the
+    # ignored flag changes nothing.  The digest is the stdout of the same
+    # command without the flag, frozen from the direct route.
+    argv = ["search", "--alphabet", "0123", "--transforms", "digit-reverse", "--dedup"]
+    assert main([*argv, "--via-latin"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage error" in captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == "d9509220022b4445"
+    assert captured.err == "2624 squares\n"
+
+
+# The first two squares over 01258 without mirror-h and digit-reverse, on the
+# direct route; the first magic one is not a Latin pair.
+_ORDER5_HEADS = {
+    "semi": "00 01 02 85 88\n08 18 80 55 15\n28 25 52 21 50\n58 81 20 05 12\n"
+    "82 51 22 10 11\n\n00 01 02 85 88\n08 18 80 55 15\n28 25 52 21 50\n"
+    "82 51 22 10 11\n58 81 20 05 12\n",
+    "magic": "00 01 08 82 85\n20 88 15 02 51\n58 11 50 52 05\n80 21 22 28 25\n"
+    "18 55 81 12 10\n\n00 01 81 82 12\n85 22 10 08 51\n18 58 55 25 20\n"
+    "52 80 28 11 05\n21 15 02 50 88\n",
+}
 
 
 @pytest.mark.parametrize("expect", ["semi", "magic"])
-def test_search_via_latin_order5_without_transforms_is_exit_2(capsys, expect):
-    assert main(["search", "--alphabet", "01258", "--expect", expect, "--via-latin"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "mirror-h and digit-reverse" in captured.err
+def test_search_order5_without_mirror_h_and_digit_reverse_streams(expect):
+    # The whole search is far too long for a test, so read its first
+    # squares, as under `| head`, and close the pipe.
+    proc = segmagic_process(
+        "search", "--alphabet", "01258", "--expect", expect, "--via-latin",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={"PYTHONUNBUFFERED": "1"},
+    )
+    try:
+        head = "".join(proc.stdout.readline() for _ in range(11))
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert head == _ORDER5_HEADS[expect]
+    assert proc.returncode == 141
+    assert "Traceback" not in err
 
 
 def test_search_order_flag_is_rejected():

@@ -1,5 +1,6 @@
 """Enumeration, Latin-pair construction/decomposition, palindromic search."""
 
+import hashlib
 from itertools import combinations, islice, product
 
 import pytest
@@ -16,6 +17,7 @@ from segmagic import (
     enumerate_palindromic,
     enumerate_squares,
     from_latin_pair,
+    kernels,
     magic_sum,
     parse_alphabet,
     parse_square,
@@ -52,15 +54,22 @@ def test_magic_sum_values():
     assert magic_sum((0, 1, 2, 5)) == 88
 
 
-@pytest.mark.parametrize(
-    "args",
-    [("12a",), ("125", Category.NOT_MAGIC), ("125", Category.MAGIC, ("transpose",))],
-    ids=["non-digit-alphabet", "not-magic", "unknown-transform"],
-)
-@pytest.mark.parametrize("via_latin", [False, True])
-def test_bad_input_raises_on_first_next(kernel_calls, args, via_latin):
-    stream = enumerate_squares(*args, via_latin=via_latin)
-    with pytest.raises(ValueError):
+# Each bad input and the words its ValueError must hold.
+_BAD_INPUTS = {
+    "non-digit-alphabet": ({"alphabet": "12a"}, "decimal digits, got '12a'"),
+    "not-magic": ({"requirement": Category.NOT_MAGIC}, "requirement must be"),
+    "above-pandiagonal": ({"requirement": 7}, "requirement must be"),
+    "unknown-transform": ({"universality": ("transpose",)}, "'transpose'"),
+    "transform-string": ({"universality": "rot180"}, "universality .* 'rot180'"),
+}
+
+
+@pytest.mark.parametrize("bad, words", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+# 0125 takes the Latin route, 0123 (0+3 = 1+2) the direct one.
+@pytest.mark.parametrize("latin", [False, True])
+def test_bad_input_raises_on_first_next(kernel_calls, bad, words, latin):
+    stream = enumerate_squares(**{"alphabet": "0125" if latin else "0123", **bad})
+    with pytest.raises(ValueError, match=words):
         next(stream)
     assert kernel_calls == []
 
@@ -97,17 +106,25 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 
 def test_enumeration_is_lazy(kernel_calls):
-    for alphabet, requirement, via_latin in product(
-        ("1258", "0125"), (Category.SEMI_MAGIC, Category.MAGIC), (False, True)
+    # The calls stop at the first square's own row, not the whole grid
+    # space.  On the Latin route that is one call, the doubled digits
+    # (11 22 55 88 over 1258), the least Latin row.  Over 0123 (0+3 = 1+2)
+    # the search takes the direct route, whose rows start at 00 01 32 33.
+    direct = {
+        Category.SEMI_MAGIC: [(0, 1, 14, 15)],
+        Category.MAGIC: [(0, 1, 14, 15), (0, 1, 15, 14), (0, 2, 13, 15), (0, 2, 15, 13)],
+    }
+    for alphabet, requirement in product(
+        ("1258", "0125", "0123"), (Category.SEMI_MAGIC, Category.MAGIC)
     ):
         kernel_calls.clear()
-        first = next(enumerate_squares(alphabet, requirement, via_latin=via_latin))
-        case = (alphabet, requirement, via_latin)
+        first = next(enumerate_squares(alphabet, requirement))
+        case = (alphabet, requirement)
         assert classify(first).category >= requirement, case
-        # One first-row call, the doubled digits (11 22 55 88 over 1258):
-        # the least row that reaches the constant and the least Latin row,
-        # not the whole grid space.
-        assert kernel_calls == [(0, 5, 10, 15)], case
+        if alphabet == "0123":
+            assert kernel_calls == direct[requirement], case
+        else:
+            assert kernel_calls == [(0, 5, 10, 15)], case
 
 
 def test_emitted_squares_reverify():
@@ -191,9 +208,7 @@ def test_order4_regression_counts():
     # orbits over {0,1,2,5}.
     universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
     assert sum(1 for _ in universal) == 144
-    semi = enumerate_squares(
-        "0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True, via_latin=True
-    )
+    semi = enumerate_squares("0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True)
     assert sum(1 for _ in semi) == 864
 
 
@@ -226,11 +241,16 @@ def test_first_row_pruning_is_exact(alphabet):
 def test_first_row_pruning_call_counts(kernel_calls):
     universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
     assert sum(1 for _ in universal) == 144
-    assert len(kernel_calls) == 156  # admissible first rows
+    assert len(kernel_calls) == 156  # admissible Latin first rows
     assert kernel_calls == sorted(kernel_calls)
     kernel_calls.clear()
     assert sum(1 for _ in enumerate_squares("1258")) == 1152
-    assert len(kernel_calls) == 888  # every first row that reaches 176
+    assert len(kernel_calls) == 576  # every Latin first row (4! * 4!)
+    assert kernel_calls == sorted(kernel_calls)
+    # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5).
+    kernel_calls.clear()
+    assert sum(1 for _ in enumerate_squares("1256")) == 4224
+    assert len(kernel_calls) == 1248  # every first row that reaches 154
     assert kernel_calls == sorted(kernel_calls)
 
 
@@ -299,35 +319,73 @@ def test_decompose_rejects_non_product_cells():
     assert decompose_to_latin_pair(parse_square("00 01\n10 11")) is None
 
 
+class _FirstCall(Exception):
+    """Stops a search at its first kernel call."""
+
+
+def _route(alphabet, *query):
+    """The route ``enumerate_squares(alphabet, *query)`` takes: "direct"
+    when its first kernel call sums the cell values, "latin" otherwise."""
+
+    def first_call(values, order, target, row):
+        raise _FirstCall(list(values))
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstCall) as stop:
+        patch.setattr(kernels, "product_square_indices", first_call)
+        next(enumerate_squares(alphabet, *query))
+    digits = parse_alphabet(alphabet)
+    cell_values = [10 * x + y for x in digits for y in digits]
+    return "direct" if stop.value.args[0] == cell_values else "latin"
+
+
+# The direct route's streams, frozen as (count, SHA-256 of the newline-joined
+# concatenations) before the search chose its route itself.
+_DIRECT_STREAMS = {
+    ("125", Category.SEMI_MAGIC): (72, "34d29382bb425a70"),
+    ("125", Category.MAGIC): (0, "e3b0c44298fc1c14"),
+    ("012", Category.SEMI_MAGIC): (72, "db8c8252d1661d95"),
+    ("012", Category.MAGIC): (8, "7e29da4d0dcc4f32"),
+    ("1258", Category.SEMI_MAGIC): (6912, "6e9f86af8deca709"),
+    ("1258", Category.MAGIC): (1152, "99b6aaef359f04f6"),
+    ("0125", Category.SEMI_MAGIC): (6912, "59c63670e2a1ee88"),
+    ("0125", Category.MAGIC): (1152, "2139d9ad0173d432"),
+}
+
+
 def test_via_latin_equals_direct():
-    for alphabet in ("125", "012", "1258", "0125"):
-        for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
-            direct = [s.concat for s in enumerate_squares(alphabet, requirement)]
-            latin = [
-                s.concat
-                for s in enumerate_squares(alphabet, requirement, via_latin=True)
-            ]
-            assert direct == latin, (alphabet, requirement)
+    for (alphabet, requirement), expected in _DIRECT_STREAMS.items():
+        concats = [s.concat for s in enumerate_squares(alphabet, requirement)]
+        digest = hashlib.sha256("\n".join(concats).encode()).hexdigest()
+        assert (len(concats), digest[:16]) == expected, (alphabet, requirement)
+        assert _route(alphabet, requirement) == "latin"
 
 
 def test_via_latin_refuses_colliding_pair_sums():
     # 0+3 = 1+2: the Latin route would find 6,912 of the 353,664 semi-magic
-    # squares over {0,1,2,3}.  A repeated digit does not count: 5+5 = 2+8 in
-    # {1,2,5,8}, which both routes agree on (test_via_latin_equals_direct).
-    for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
-        with pytest.raises(ValueError, match="0123"):
-            next(enumerate_squares("0123", requirement, via_latin=True))
+    # squares over {0,1,2,3}, so the search takes the direct route there and
+    # its first squares are not Latin pairs.  A repeated digit does not
+    # count: 5+5 = 2+8 in {1,2,5,8}, which takes the Latin route.
+    heads = {
+        Category.SEMI_MAGIC: "00013233121320212322111031300302",
+        Category.MAGIC: "00023331133201203011220323211012",
+    }
+    for requirement, head in heads.items():
+        first = next(enumerate_squares("0123", requirement))
+        assert first.concat == head
+        assert decompose_to_latin_pair(first) is None
+        assert _route("0123", requirement) == "direct"
 
 
 @pytest.mark.parametrize("alphabet, count", [("125", 72), ("1258", 6912)])
 def test_via_latin_yields_exactly_the_latin_pairs(alphabet, count):
-    squares = list(enumerate_squares(alphabet, Category.SEMI_MAGIC, via_latin=True))
+    squares = list(enumerate_squares(alphabet, Category.SEMI_MAGIC))
     assert len(squares) == count
     assert all(decompose_to_latin_pair(square) is not None for square in squares)
 
 
 # Magic squares over {0,1,2,5,8} whose digit grids are not Latin: the Latin
-# route cannot yield them, so without mirror-h and digit-reverse it refuses.
+# route cannot yield them, so without mirror-h and digit-reverse the search
+# takes the direct route.  The first is the direct route's first magic square.
 _NOT_LATIN_5x5 = (
     "00 01 08 82 85\n20 88 15 02 51\n58 11 50 52 05\n80 21 22 28 25\n18 55 81 12 10",
     "12 10 11 55 88\n52 58 50 01 15\n22 80 05 18 51\n08 00 85 81 02\n82 28 25 21 20",
@@ -350,14 +408,13 @@ def test_order5_magic_squares_that_are_not_latin_pairs(text):
     "universality", [(), ("mirror-h",), ("digit-reverse",), ("rot180", "mirror-v")]
 )
 def test_via_latin_order5_needs_mirror_h_and_digit_reverse(requirement, universality):
-    with pytest.raises(ValueError, match="mirror-h and digit-reverse"):
-        next(enumerate_squares("01258", requirement, universality, via_latin=True))
+    assert _route("01258", requirement, universality) == "direct"
+    both = universality + ("mirror-h", "digit-reverse")
+    assert _route("01258", requirement, both) == "latin"
 
 
 def test_via_latin_order5_stream_starts_lexicographically():
-    stream = enumerate_squares(
-        "01258", Category.MAGIC, ("mirror-h", "digit-reverse"), via_latin=True
-    )
+    stream = enumerate_squares("01258", Category.MAGIC, ("mirror-h", "digit-reverse"))
     first = list(islice(stream, 5))
     concats = [s.concat for s in first]
     assert concats == sorted(concats)
