@@ -5,8 +5,9 @@ families of target-sum index sets: n pairwise disjoint row sets and n
 pairwise disjoint column sets, every row set meeting every column set in
 exactly one cell (the exact-cover view of Knuth, "Dancing Links", 2000).
 The generator chooses sets, held as bitmasks over value indices, instead of
-placing one cell at a time.  Each call completes one given first row; the
-searches in ``search`` choose the first rows.
+placing one cell at a time.  Each call completes one given first row, whose
+length is the order and whose sum is every line's target; the searches in
+``search`` choose the first rows.
 """
 
 from __future__ import annotations
@@ -17,20 +18,19 @@ from itertools import combinations, permutations
 KERNEL = "pure-python"
 
 
-def product_square_indices(values, order: int, target: int, row):
-    """Enumerate row-major ``order``×``order`` grids of distinct values whose
-    first row is ``row`` and whose rows and columns all sum to ``target``;
-    diagonals are left to the caller.
+def product_square_indices(values, row):
+    """Enumerate row-major n×n grids of distinct values whose first row is
+    ``row`` and whose rows and columns all sum to that row's sum, n being
+    ``len(row)``; diagonals are left to the caller.
 
-    values  at least ``order**2`` ascending distinct integers, the values
-            the cells may take; each is used at most once
-    target  required row/column sum
-    row     the first row: ``order`` distinct indices into ``values``
+    values  at least ``n**2`` ascending distinct integers, the values the
+            cells may take; each is used at most once
+    row     the first row: n ≥ 1 distinct indices into ``values``
 
     Returns the list of solutions in lexicographic order, each a row-major
-    tuple of indices into ``values``; empty when ``row`` misses the target.
+    tuple of indices into ``values``.
 
-    The other row sets are every ascending combination of ``order - 1``
+    The other row sets are every ascending combination of ``n - 1``
     target-sum sets disjoint from the first row and from each other.
     Column j then takes a target-sum set that meets the first row in cell j
     alone and every other row set in one cell, the columns pairwise
@@ -38,19 +38,17 @@ def product_square_indices(values, order: int, target: int, row):
     (i, j) is where row set i meets column set j.  Every grid arises exactly
     once this way.
     """
-    n = order
     vals = tuple(values)
-    m = len(vals)
+    row = tuple(row)
+    n, m = len(row), len(vals)
     if m < n * n:
         raise ValueError(f"need at least {n * n} values, got {m}")
     if any(vals[i] >= vals[i + 1] for i in range(m - 1)):
         raise ValueError("values must be ascending and distinct")
-    row = tuple(row)
-    if len(row) != n or len(set(row)) != n or any(not 0 <= c < m for c in row):
-        raise ValueError(f"first row must be {n} distinct indices below {m}")
-    if sum(vals[c] for c in row) != target:
-        return []
-    return _grids(row, _line_sets(vals, n).get(target, ()), n)
+    if not row or len(set(row)) != n or any(not 0 <= c < m for c in row):
+        raise ValueError(f"first row must be distinct indices below {m}")
+    target = sum(vals[c] for c in row)
+    return _grids(row, _line_sets(vals, n)[target], n)
 
 
 def _grids(head, sets, n):

@@ -7,10 +7,11 @@ generates the admissible first rows here and runs the line-set generator in
 ``kernels`` (the kernel) once per row, then filters complete grids by one
 line-sum check, for universality and for orbit-minimality.
 
-The kernel runs on one of two routes.  The direct route hands it the cell
-values and the magic sum.  The Latin route hands it a key per cell that
-sums to its target along a line exactly when the line's tens digits and its
-units digits are each a permutation of D, so the kernel enumerates
+The kernel completes each first row to the row's own sum, and runs on one of
+two routes.  The direct route hands it the cell values and first rows that
+reach the magic sum.  The Latin route hands it a key per cell that sums to
+its target along a line exactly when the line's tens digits and its units
+digits are each a permutation of D, so the kernel enumerates
 superimposed orthogonal Latin pairs.  Every such square is semi-magic; the
 converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2, there
 are 353,664 semi-magic squares and only 6,912 of them have Latin digit
@@ -41,13 +42,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .squares import (
-    ATOMIC_TRANSFORMS,
     DIGIT_REVERSE,
     MIRROR_H,
     Category,
     Square,
-    alphabet_of,
+    _transform_names,
     cell_image,
+    classify,
     line_level,
     parse_alphabet,
     source_positions,
@@ -94,12 +95,7 @@ def enumerate_squares(
     alphabet = parse_alphabet(alphabet)
     if not Category.SEMI_MAGIC <= requirement <= Category.PANDIAGONAL_MAGIC:
         raise ValueError("requirement must be semi-magic, magic or pandiagonal")
-    if isinstance(universality, str):
-        raise ValueError(f"universality must be transform names, not {universality!r}")
-    universality = tuple(universality)
-    for name in universality:
-        if name not in ATOMIC_TRANSFORMS:
-            raise ValueError(f"unknown transform {name!r}")
+    universality = _transform_names(universality, "universality")
     n = len(alphabet)
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
     values = [int(c) for c in cells]
@@ -132,7 +128,7 @@ def enumerate_squares(
         keys, key_target = values, target
 
     for row in _first_rows(n, keys, key_target, values, target, images, orbit):
-        for grid in kernels.product_square_indices(keys, n, key_target, row):
+        for grid in kernels.product_square_indices(keys, row):
             key = [values[c] for c in grid]
             if line_level(key, n, target) < requirement or any(
                 line_level([image[grid[s]] for s in src], n, target) < requirement
@@ -260,15 +256,10 @@ def decompose_to_latin_pair(square: Square) -> LatinPair | None:
     if square.width != 2:
         raise ValueError(f"need width-2 cells, got width {square.width}")
     n = square.order
-    digits = alphabet_of(square)
-    if len(digits) != n:
+    cell_set = classify(square).cell_set
+    if cell_set.kind != "exact-product":
         return None
-    index = {str(d): k for k, d in enumerate(digits)}
-    cells = set(square.cells())
-    if len(cells) != n * n or cells != {
-        f"{x}{y}" for x, y in product(digits, repeat=2)
-    }:
-        return None
+    index = {str(d): k for k, d in enumerate(cell_set.alphabet)}
     a = tuple(tuple(index[cell[0]] for cell in row) for row in square.rows)
     b = tuple(tuple(index[cell[1]] for cell in row) for row in square.rows)
     try:
@@ -279,7 +270,7 @@ def decompose_to_latin_pair(square: Square) -> LatinPair | None:
     return LatinPair(a, b)
 
 
-def palindromic_cells(alphabet: Sequence[int], width: int) -> list[str]:
+def palindromic_cells(alphabet: Sequence[int] | str, width: int) -> list[str]:
     """All width-w palindromic digit strings over the alphabet, ascending."""
     alphabet = parse_alphabet(alphabet)
     if width < 1:
@@ -293,7 +284,7 @@ def palindromic_cells(alphabet: Sequence[int], width: int) -> list[str]:
 
 
 def enumerate_palindromic(
-    alphabet: Sequence[int], order: int, width: int
+    alphabet: Sequence[int] | str, order: int, width: int
 ) -> Iterator[Square]:
     """Stream all semi-magic squares of distinct palindromic cells.
 
@@ -311,8 +302,7 @@ def enumerate_palindromic(
     if len(cells) < n * n:
         return
     for row in permutations(range(len(cells)), n):
-        target = sum(values[c] for c in row)
-        for grid in kernels.product_square_indices(values, n, target, row):
+        for grid in kernels.product_square_indices(values, row):
             yield Square.from_rows(
                 tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
             )

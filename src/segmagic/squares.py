@@ -83,7 +83,8 @@ class Square:
 
     rows: tuple[tuple[str, ...], ...]
 
-    def __init__(self, rows: tuple[tuple[str, ...], ...]):
+    def __init__(self, rows: Iterable[Iterable[str]]):
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if n == 0:
             raise ValueError("square has no rows")
@@ -117,7 +118,7 @@ class Square:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[str]]) -> "Square":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @property
     def order(self) -> int:
@@ -256,7 +257,7 @@ def parse_square(text: str) -> Square:
         raise SquareParseError(
             f"{len(rows)} rows of {ncols} cells do not form a square", lineno
         )
-    return Square(tuple(rows))
+    return Square(rows)
 
 
 def magic_constant(square: Square) -> int | None:
@@ -363,15 +364,28 @@ def apply_transform(square: Square, transform: str | Iterable[str]) -> Square:
     Raises InvalidDigitError naming the first offending cell (row-major scan
     of the input square) when a digit has no image.
     """
-    names = (transform,) if isinstance(transform, str) else tuple(transform)
-    for name in names:
+    names = (transform,) if isinstance(transform, str) else transform
+    for name in _transform_names(names, "transform"):
         square = _apply_atomic(square, name)
     return square
 
 
+def _transform_names(names: Iterable[str], argument: str) -> tuple[str, ...]:
+    """``names`` as a tuple, each an atomic transform; ``argument`` names the
+    caller's parameter in the error for a bare string."""
+    if isinstance(names, str):
+        raise ValueError(f"{argument} must be transform names, not {names!r}")
+    names = tuple(names)
+    for name in names:
+        if name not in ATOMIC_TRANSFORMS:
+            raise ValueError(
+                f"unknown transform {name!r}; choose from "
+                + ", ".join(ATOMIC_TRANSFORMS)
+            )
+    return names
+
+
 def _apply_atomic(square: Square, transform: str) -> Square:
-    if transform not in ATOMIC_TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}")
     n = square.order
     cells = list(square.cells())
     images = [cell_image(cell, transform) for cell in cells]
@@ -395,6 +409,7 @@ def classify_universal(
     transformation; the palindromic semi-magic family only promises an image
     that is at least semi-magic (the constant may change).
     """
+    transforms = _transform_names(transforms, "transforms")
     base = classify(square)
     verdicts: dict[str, Verdict] = {}
     for name in transforms:
@@ -405,7 +420,7 @@ def classify_universal(
             continue
         rep = classify(image)
         if rep.category >= Category.MAGIC:
-            if base.constant is not None and rep.constant == base.constant:
+            if rep.constant == base.constant:
                 verdicts[name] = Verdict(MAGIC_SAME_CONSTANT, constant=rep.constant)
             else:
                 verdicts[name] = Verdict(MAGIC_OTHER_CONSTANT, constant=rep.constant)

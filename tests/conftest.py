@@ -25,13 +25,15 @@ def load_fixture(name: str) -> Square:
 
 
 def joined_grids(values, order, target, start=()):
-    """The kernel's grids for every first row that begins with ``start``,
-    joined in ascending order of the rows."""
+    """The kernel's grids for every first row that begins with ``start`` and
+    sums to ``target``, joined in ascending order of the rows."""
     rest = [i for i in range(len(values)) if i not in start]
+    rows = (start + tail for tail in permutations(rest, order - len(start)))
     return [
         grid
-        for tail in permutations(rest, order - len(start))
-        for grid in kernels.product_square_indices(values, order, target, start + tail)
+        for row in rows
+        if sum(values[c] for c in row) == target
+        for grid in kernels.product_square_indices(values, row)
     ]
 
 
@@ -41,9 +43,9 @@ def kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, order, target, row):
+    def recording(values, row):
         calls.append(row)
-        return kernel(values, order, target, row)
+        return kernel(values, row)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     return calls

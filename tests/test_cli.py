@@ -283,6 +283,73 @@ def test_search_jobs_flag_is_rejected():
     assert err.value.code == 2
 
 
+# --- golden outputs -------------------------------------------------------------
+
+ALL_TRANSFORMS = "rot180,mirror-h,mirror-v,digit-reverse"
+
+# SHA-256 of stdout: a byte-identity oracle for changes to the search, the
+# classifier or the emitters.  The two searches are the benchmark's order-4
+# command lines.
+_GOLDEN = {
+    "search-1258-magic": (
+        ("search", "--alphabet", "1258", "--expect", "magic",
+         "--transforms", ALL_TRANSFORMS, "--dedup"),
+        "6e6e7d63bbd53c254dbc47b434b7103a1e11d1358dea22c12a27664cb7a2c451",
+    ),
+    "search-0125-semi-jsonl": (
+        ("search", "--alphabet", "0125", "--expect", "semi",
+         "--transforms", ALL_TRANSFORMS, "--dedup", "--jsonl"),
+        "16e0a8d99a1b755cb4f38c4a00524a06b90c49bff7e2a51b7ec4ec5abb397107",
+    ),
+    **{
+        f"classify-{name}": (("classify", str(fixture_path(name)), "--json"), digest)
+        for name, digest in {
+            "palindromic_3x3_1221":
+                "d2ef60bb2b02917c3f5a4aae58550598a3e64914d571851b5a45d40917b60701",
+            "palindromic_3x3_888":
+                "dc9b1c3da0120d57ba1c1b47e249faaa20b84b135d6219d6da449a5d793794f7",
+            "universal_4x4_0125":
+                "e38df3da60738b5651e6960ab47973560c5555f31d585df5aa40a5527c587c9c",
+            "universal_4x4_1258":
+                "c8d6bc38d05da8e014320320aa49bdb70efb4694af57e3fc699599196ec405f1",
+            "universal_5x5":
+                "1bb5434c62b8309099dd29230e41895456b0e425e9fc53db6a8995ec0f6c57a8",
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN.values(), ids=_GOLDEN)
+def test_golden_stdout(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_UNKNOWN_TRANSFORM = (
+    "unknown transform 'spin'; choose from rot180, mirror-h, mirror-v, digit-reverse"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "--alphabet", "0125", "--transforms", "spin"), _UNKNOWN_TRANSFORM),
+        (("classify", FIX_PAL_888, "--transforms", "rot180,spin"), _UNKNOWN_TRANSFORM),
+        (("search", "--alphabet", "12a"), "alphabet must be decimal digits, got '12a'"),
+        (
+            ("palindromes", "--alphabet", "1221", "--order", "3", "--width", "3"),
+            "alphabet has repeated digits: '1221'",
+        ),
+    ],
+    ids=["search-transform", "classify-transform", "search-alphabet", "palindromes-alphabet"],
+)
+def test_usage_errors(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_palindromes_cli(capsys):
     assert main(
         ["palindromes", "--alphabet", "125", "--order", "3", "--width", "3"]

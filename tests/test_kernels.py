@@ -51,20 +51,19 @@ def test_kernel_chooses_from_more_values_than_cells(target):
 def test_kernel_validation():
     good = _values((0, 1, 2))
     row = (0, 4, 8)  # 00 11 22, which reaches 33
-    assert kernels.product_square_indices(good, 3, 33, row)
+    assert kernels.product_square_indices(good, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good[:5], 3, 33, row)
+        kernels.product_square_indices(good[:5], row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(sorted(good, reverse=True), 3, 33, row)
+        kernels.product_square_indices(sorted(good, reverse=True), row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices([1] * 9, 3, 33, row)
+        kernels.product_square_indices([1] * 9, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, 3, 33, (1, 1, 2))
+        kernels.product_square_indices(good, (1, 1, 2))
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, 3, 33, (0, 4, 99))
-    for wrong_length in ((), (0,), (0, 4), (0, 4, 8, 1)):
-        with pytest.raises(ValueError):
-            kernels.product_square_indices(good, 3, 33, wrong_length)
+        kernels.product_square_indices(good, (0, 4, 99))
+    with pytest.raises(ValueError):
+        kernels.product_square_indices(good, ())
 
 
 def test_kernel_where_latin_route_is_no_oracle():
@@ -100,8 +99,9 @@ def test_order1():
     values = [3, 5, 7]
     assert joined_grids(values, 1, 5) == [(1,)]
     assert joined_grids(values, 1, 4) == []
-    assert kernels.product_square_indices(values, 1, 5, (1,)) == [(1,)]
-    assert kernels.product_square_indices(values, 1, 5, (0,)) == []
+    # The order and the target come from the row: (0,) is the 1x1 grid of 3.
+    assert kernels.product_square_indices(values, (1,)) == [(1,)]
+    assert kernels.product_square_indices(values, (0,)) == [(0,)]
 
 
 @pytest.mark.parametrize("target", range(3, 16))
@@ -121,7 +121,8 @@ def test_order5_latin_first_row():
     keys = [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
     target = (2**n - 1) * (4**n + 1)
     head = (0, 6, 12, 18, 24)
-    grids = kernels.product_square_indices(keys, n, target, head)
+    assert sum(keys[c] for c in head) == target
+    grids = kernels.product_square_indices(keys, head)
     assert len(grids) == 432
     assert grids == sorted(grids)
     for grid in grids:
@@ -135,7 +136,7 @@ def test_order5_direct_first_row():
     values = _values((0, 1, 2, 5, 8))
     head = (0, 6, 12, 18, 24)
     assert [values[c] for c in head] == [0, 11, 22, 55, 88]
-    grids = kernels.product_square_indices(values, n, 176, head)
+    grids = kernels.product_square_indices(values, head)
     assert len(grids) == 5640
     assert grids == sorted(grids)
     for grid in grids:

@@ -254,6 +254,31 @@ def test_first_row_pruning_call_counts(kernel_calls):
     assert kernel_calls == sorted(kernel_calls)
 
 
+@pytest.mark.parametrize(
+    "requirement, universality, dedup, calls",
+    [
+        # The Latin route: 3,660 of the 14,400 Latin first rows pass dedup.
+        (Category.PANDIAGONAL_MAGIC, ATOMIC_TRANSFORMS, True, 3660),
+        (Category.PANDIAGONAL_MAGIC, ATOMIC_TRANSFORMS, False, 14400),
+        # The direct route: every first row that reaches 176.
+        (Category.MAGIC, (), False, 44160),
+    ],
+)
+def test_order5_first_row_call_counts(
+    monkeypatch, requirement, universality, dedup, calls
+):
+    # A kernel that completes no row counts the first rows without the
+    # minutes a whole order-5 search takes.
+    rows = []
+    monkeypatch.setattr(
+        kernels, "product_square_indices", lambda values, row: rows.append(row) or []
+    )
+    stream = enumerate_squares("01258", requirement, universality, dedup=dedup)
+    assert list(stream) == []
+    assert len(rows) == calls
+    assert rows == sorted(rows)
+
+
 # --- Latin pairs -----------------------------------------------------------------
 
 
@@ -327,7 +352,7 @@ def _route(alphabet, *query):
     """The route ``enumerate_squares(alphabet, *query)`` takes: "direct"
     when its first kernel call sums the cell values, "latin" otherwise."""
 
-    def first_call(values, order, target, row):
+    def first_call(values, row):
         raise _FirstCall(list(values))
 
     with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstCall) as stop:
@@ -352,7 +377,7 @@ _DIRECT_STREAMS = {
 }
 
 
-def test_via_latin_equals_direct():
+def test_latin_route_keeps_the_direct_streams():
     for (alphabet, requirement), expected in _DIRECT_STREAMS.items():
         concats = [s.concat for s in enumerate_squares(alphabet, requirement)]
         digest = hashlib.sha256("\n".join(concats).encode()).hexdigest()
@@ -360,7 +385,7 @@ def test_via_latin_equals_direct():
         assert _route(alphabet, requirement) == "latin"
 
 
-def test_via_latin_refuses_colliding_pair_sums():
+def test_colliding_pair_sums_take_the_direct_route():
     # 0+3 = 1+2: the Latin route would find 6,912 of the 353,664 semi-magic
     # squares over {0,1,2,3}, so the search takes the direct route there and
     # its first squares are not Latin pairs.  A repeated digit does not
@@ -413,7 +438,7 @@ def test_via_latin_order5_needs_mirror_h_and_digit_reverse(requirement, universa
     assert _route("01258", requirement, both) == "latin"
 
 
-def test_via_latin_order5_stream_starts_lexicographically():
+def test_order5_latin_route_stream_starts_lexicographically():
     stream = enumerate_squares("01258", Category.MAGIC, ("mirror-h", "digit-reverse"))
     first = list(islice(stream, 5))
     concats = [s.concat for s in first]

@@ -110,6 +110,13 @@ def test_square_repr_equality_and_hash():
     assert len({square, Square(rows)}) == 1
 
 
+def test_square_normalises_rows_given_as_lists():
+    square = Square([["1", "2"], ["3", "4"]])
+    assert square.rows == (("1", "2"), ("3", "4"))
+    assert square == Square.from_rows([["1", "2"], ["3", "4"]])
+    assert len({square, Square.from_rows((("1", "2"), ("3", "4")))}) == 1
+
+
 def test_square_is_immutable():
     square = Square((("1",),))
     with pytest.raises(AttributeError):
@@ -379,6 +386,12 @@ def test_not_magic_image_verdict():
 def test_classify_universal_transform_subset():
     report = classify_universal(load_fixture("universal_5x5"), (ROT180,))
     assert list(report.universality) == [ROT180]
+
+
+def test_classify_universal_rejects_a_bare_transform_name():
+    # A string is a sequence of one-letter names; take it for none of them.
+    with pytest.raises(ValueError, match="transforms .* 'rot180'"):
+        classify_universal(load_fixture("universal_5x5"), ROT180)
 
 
 # --- reports and rendering ----------------------------------------------------
