@@ -96,21 +96,18 @@ def cmd_search(args) -> int:
         transforms,
         dedup=args.dedup,
     )
-    count = _emit_squares(stream, args.jsonl, transforms)
-    print(f"{count} squares", file=sys.stderr)
-    return 0
+    return _emit_squares(stream, args.jsonl, transforms)
 
 
 def cmd_palindromes(args) -> int:
     from . import search
 
     stream = search.enumerate_palindromic(args.alphabet, args.order, args.width)
-    count = _emit_squares(stream, args.jsonl, ())
-    print(f"{count} squares", file=sys.stderr)
-    return 0
+    return _emit_squares(stream, args.jsonl, ())
 
 
 def _emit_squares(stream, jsonl: bool, transforms) -> int:
+    """Print each square, then the ``N squares`` line; the exit status."""
     count = 0
     for square in stream:
         if jsonl:
@@ -124,7 +121,8 @@ def _emit_squares(stream, jsonl: bool, transforms) -> int:
                 print()
             print(squares.render(square))
         count += 1
-    return count
+    print(f"{count} squares", file=sys.stderr)
+    return 0
 
 
 def cmd_dates(args) -> int:

@@ -137,15 +137,15 @@ def digit_transform(digit: int, transform: str) -> int | None:
     """Digit seen after transforming a digit's glyph, or None if unreadable."""
     if not 0 <= digit <= 9:
         raise ValueError(f"not a decimal digit: {digit!r}")
-    try:
-        return _DIGIT_MAPS[transform][digit]
-    except KeyError:
-        raise ValueError(f"unknown glyph transform {transform!r}") from None
+    return digit_map(transform)[digit]
 
 
 def digit_map(transform: str) -> tuple[int | None, ...]:
     """The full 10-entry digit map of one transformation."""
-    return _DIGIT_MAPS[transform]
+    try:
+        return _DIGIT_MAPS[transform]
+    except KeyError:
+        raise ValueError(f"unknown glyph transform {transform!r}") from None
 
 
 def _derive_digit_map(transform: str) -> tuple[int | None, ...]:

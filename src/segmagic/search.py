@@ -46,12 +46,13 @@ from .squares import (
     MIRROR_H,
     Category,
     Square,
+    _from_grid,
+    _group,
+    _step,
     _transform_names,
-    cell_image,
     classify,
     line_level,
     parse_alphabet,
-    source_positions,
 )
 
 
@@ -137,9 +138,7 @@ def enumerate_squares(
                 continue
             if any([image[grid[s]] for s in src] < key for src, image in orbit):
                 continue
-            yield Square.from_rows(
-                tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
-            )
+            yield _from_grid(n, cells, grid)
 
 
 def _first_rows(
@@ -173,30 +172,6 @@ def _first_rows(
         if any([image[row[s]] for s in src] < key for src, image in mins):
             continue
         yield row
-
-
-def _step(n, element, transform):
-    """A group element, (source positions, image of each cell index),
-    followed by ``transform``; None when some cell has no image."""
-    src, images = element
-    images = tuple(cell_image(c, transform) for c in images)
-    if None in images:
-        return None
-    return tuple(src[s] for s in source_positions(n, transform)), images
-
-
-def _group(n, identity, generators):
-    """The non-identity elements of the group the generators generate on
-    squares over the identity's cells, reached through valid images only."""
-    group, frontier = {identity}, [identity]
-    while frontier:
-        element = frontier.pop()
-        for t in generators:
-            image = _step(n, element, t)
-            if image is not None and image not in group:
-                group.add(image)
-                frontier.append(image)
-    return group - {identity}
 
 
 class LatinPair(NamedTuple):
@@ -236,13 +211,10 @@ def from_latin_pair(pair: LatinPair, alphabet: Sequence[int]) -> Square:
     n = len(alphabet)
     _check_latin(pair.a, n, "a")
     _check_latin(pair.b, n, "b")
-    pairs = {(pair.a[i][j], pair.b[i][j]) for i in range(n) for j in range(n)}
-    if len(pairs) != n * n:
+    grid = [pair.a[i][j] * n + pair.b[i][j] for i in range(n) for j in range(n)]
+    if len(set(grid)) != n * n:
         raise LatinPairError("grids are not orthogonal")
-    return Square.from_rows(
-        tuple(f"{alphabet[pair.a[i][j]]}{alphabet[pair.b[i][j]]}" for j in range(n))
-        for i in range(n)
-    )
+    return _from_grid(n, [f"{x}{y}" for x, y in product(alphabet, repeat=2)], grid)
 
 
 def decompose_to_latin_pair(square: Square) -> LatinPair | None:
@@ -303,6 +275,4 @@ def enumerate_palindromic(
         return
     for row in permutations(range(len(cells)), n):
         for grid in kernels.product_square_indices(values, row):
-            yield Square.from_rows(
-                tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
-            )
+            yield _from_grid(n, cells, grid)

@@ -22,6 +22,7 @@ four transformations.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from enum import IntEnum
 from functools import cache
@@ -37,6 +38,8 @@ DIGIT_REVERSE = "digit-reverse"
 ATOMIC_TRANSFORMS = (ROT180, MIRROR_H, MIRROR_V, DIGIT_REVERSE)
 
 _DIGITS = frozenset("0123456789")
+
+_CELL = re.compile(r"\S+")
 
 
 class SquareParseError(ValueError):
@@ -155,7 +158,7 @@ def parse_alphabet(text: str | Iterable[int]) -> tuple[int, ...]:
         digits = [int(ch) if ch.isdigit() and ch.isascii() else -1 for ch in text]
     else:
         digits = list(text)
-    if not digits or any(d not in range(10) for d in digits):
+    if not digits or any(type(d) is not int or d not in range(10) for d in digits):
         raise ValueError(f"alphabet must be decimal digits, got {text!r}")
     if len(set(digits)) != len(digits):
         raise ValueError(f"alphabet has repeated digits: {text!r}")
@@ -210,16 +213,9 @@ def parse_square(text: str) -> Square:
     ncols: int | None = None
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens: list[tuple[int, str]] = []
-        col = None
-        for j, ch in enumerate(body + " "):
-            if ch.isspace():
-                if col is not None:
-                    tokens.append((col + 1, body[col:j]))
-                    col = None
-            elif col is None:
-                col = j
+        tokens = [
+            (m.start() + 1, m.group()) for m in _CELL.finditer(raw.split("#", 1)[0])
+        ]
         if not tokens:
             continue
         for col, tok in tokens:
@@ -239,16 +235,11 @@ def parse_square(text: str) -> Square:
         if ncols is None:
             ncols = len(tokens)
         elif len(tokens) != ncols:
-            if len(tokens) > ncols:
-                raise SquareParseError(
-                    f"ragged row: {len(tokens)} cells, expected {ncols}",
-                    lineno,
-                    tokens[ncols][0],
-                )
+            # The column of the first extra cell, or just past a short row.
             raise SquareParseError(
                 f"ragged row: {len(tokens)} cells, expected {ncols}",
                 lineno,
-                tokens[-1][0] + width,
+                tokens[ncols][0] if len(tokens) > ncols else tokens[-1][0] + width,
             )
         rows.append(tuple(tok for _, tok in tokens))
     if not rows:
@@ -334,6 +325,7 @@ def _cell_set(square: Square) -> CellSet:
     return CellSet("other")
 
 
+@cache
 def source_positions(n: int, transform: str) -> tuple[int, ...]:
     """For each row-major cell of the image, the position it comes from."""
     flip_rows = transform in (ROT180, MIRROR_V)
@@ -387,16 +379,45 @@ def _transform_names(names: Iterable[str], argument: str) -> tuple[str, ...]:
 
 def _apply_atomic(square: Square, transform: str) -> Square:
     n = square.order
-    cells = list(square.cells())
-    images = [cell_image(cell, transform) for cell in cells]
-    if None in images:
-        k = images.index(None)
+    cells = tuple(square.cells())
+    element = _step(n, (range(n * n), cells), transform)
+    if element is None:
+        k = next(k for k, c in enumerate(cells) if cell_image(c, transform) is None)
         table = glyphs.digit_map(transform)
         digit = next(int(ch) for ch in cells[k] if table[int(ch)] is None)
         raise InvalidDigitError(transform, k // n, k % n, digit)
-    src = source_positions(n, transform)
+    src, images = element
+    return _from_grid(n, images, src)
+
+
+def _step(n, element, transform):
+    """A group element, (source positions, image of each cell index),
+    followed by ``transform``; None when some cell has no image."""
+    src, images = element
+    images = tuple(cell_image(c, transform) for c in images)
+    if None in images:
+        return None
+    return tuple(src[s] for s in source_positions(n, transform)), images
+
+
+def _group(n, identity, generators):
+    """The non-identity elements of the group the generators generate on
+    squares over the identity's cells, reached through valid images only."""
+    group, frontier = {identity}, [identity]
+    while frontier:
+        element = frontier.pop()
+        for t in generators:
+            image = _step(n, element, t)
+            if image is not None and image not in group:
+                group.add(image)
+                frontier.append(image)
+    return group - {identity}
+
+
+def _from_grid(n: int, cells: Sequence[str], grid: Sequence[int]) -> Square:
+    """The n x n square whose row-major cell p is ``cells[grid[p]]``."""
     return Square.from_rows(
-        tuple(images[src[i * n + j]] for j in range(n)) for i in range(n)
+        tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
     )
 
 

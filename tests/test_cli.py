@@ -289,7 +289,7 @@ ALL_TRANSFORMS = "rot180,mirror-h,mirror-v,digit-reverse"
 
 # SHA-256 of stdout: a byte-identity oracle for changes to the search, the
 # classifier or the emitters.  The two searches are the benchmark's order-4
-# command lines.
+# command lines; the last classify is the README's example.
 _GOLDEN = {
     "search-1258-magic": (
         ("search", "--alphabet", "1258", "--expect", "magic",
@@ -316,6 +316,26 @@ _GOLDEN = {
                 "1bb5434c62b8309099dd29230e41895456b0e425e9fc53db6a8995ec0f6c57a8",
         }.items()
     },
+    **{
+        f"classify-{name}-text": (("classify", str(fixture_path(name))), digest)
+        for name, digest in {
+            "palindromic_3x3_1221":
+                "d51f7692258f956237d729e15f34d53f54011672133f73ea12136b6f90a7e339",
+            "palindromic_3x3_888":
+                "b51b66f989f1d815ee66052775708b94f7ddf98f29b1ddd5fd5ea686afdb9df8",
+            "universal_4x4_0125":
+                "e6c0c31b54d604bd8847885f288fc9bb029ad2794ae1a11abaf5bb02d3b3f152",
+            "universal_4x4_1258":
+                "3619b2f3fd9ab64089e63a9d01d4981ee41eb8ebe2a7392c9d300ac2d53e0d38",
+            "universal_5x5":
+                "73200fe187eb7f34cfde0080dbd0450a47fcd769b5af1f6c0f2a5d34a8ebd018",
+        }.items()
+    },
+    "classify-readme-888": (
+        ("classify", str(fixture_path("palindromic_3x3_888")),
+         "--transforms", "rot180,digit-reverse"),
+        "7003c953b68c6087548a883baf8abab01fd93264b62d366e680e154298730609",
+    ),
 }
 
 

@@ -150,6 +150,9 @@ def test_unknown_transform_rejected():
         transform_mask(0, "transpose")
     with pytest.raises(ValueError):
         digit_transform(8, "transpose")
+    for name in ("spin", "digit-reverse"):
+        with pytest.raises(ValueError, match=f"unknown glyph transform '{name}'"):
+            digit_map(name)
 
 
 def test_ascii_glyphs():

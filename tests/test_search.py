@@ -1,6 +1,7 @@
 """Enumeration, Latin-pair construction/decomposition, palindromic search."""
 
 import hashlib
+from datetime import date
 from itertools import combinations, islice, product
 
 import pytest
@@ -22,6 +23,7 @@ from segmagic import (
     parse_alphabet,
     parse_square,
 )
+from segmagic.dates import scan
 from segmagic.search import LatinPairError
 from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError
 
@@ -46,6 +48,16 @@ def test_parse_alphabet_rejects_bad_input():
         parse_alphabet("")
     with pytest.raises(ValueError):
         parse_alphabet([1, 10])
+    # Floats and bools compare equal to digits but are not digits.
+    floats = [0.0, 1.0, 2.0, 5.0, 8.0]
+    digits = "alphabet must be decimal digits"
+    for bad in (floats, [True, 2]):
+        with pytest.raises(ValueError, match=digits):
+            parse_alphabet(bad)
+    with pytest.raises(ValueError, match=digits):
+        scan(date(2010, 1, 1), date(2010, 12, 31), floats, "exact")
+    with pytest.raises(ValueError, match=digits):
+        next(enumerate_squares([1.0, 2.0, 5.0]))
 
 
 def test_magic_sum_values():

@@ -28,6 +28,7 @@ from segmagic.squares import (
     IMAGE_INVALID_DIGITS,
     IMAGE_NOT_MAGIC,
     IMAGE_SEMI_MAGIC,
+    MAGIC_OTHER_CONSTANT,
     MAGIC_SAME_CONSTANT,
     Verdict,
 )
@@ -63,8 +64,12 @@ def test_parse_single_cell():
 def test_parse_error_ragged_row():
     with pytest.raises(SquareParseError) as err:
         parse_square("12 34\n56")
-    assert err.value.line == 2
+    assert err.value.line == 2 and err.value.column == 3
     assert "ragged" in str(err.value)
+    with pytest.raises(SquareParseError) as err:
+        parse_square("12 34\n56 78 90")
+    assert err.value.line == 2 and err.value.column == 7
+    assert "ragged row: 3 cells, expected 2" in str(err.value)
 
 
 def test_parse_error_non_digit():
@@ -91,6 +96,8 @@ def test_parse_error_empty():
 
 
 def test_square_validates_construction():
+    with pytest.raises(ValueError, match="square has no rows"):
+        Square([])
     with pytest.raises(ValueError):
         Square((("1", "2"), ("3",)))
     with pytest.raises(ValueError):
@@ -376,6 +383,16 @@ def test_invalid_digits_verdict_carries_position():
     verdict = report.universality[ROT180]
     assert verdict.kind == IMAGE_INVALID_DIGITS
     assert verdict.position == (0, 0)
+
+
+def test_magic_image_with_another_constant():
+    report = classify_universal(parse_square("16"))
+    assert report.universality == {
+        ROT180: Verdict(MAGIC_OTHER_CONSTANT, constant=91),
+        MIRROR_H: Verdict(IMAGE_INVALID_DIGITS, position=(0, 0)),
+        MIRROR_V: Verdict(IMAGE_INVALID_DIGITS, position=(0, 0)),
+        DIGIT_REVERSE: Verdict(MAGIC_OTHER_CONSTANT, constant=61),
+    }
 
 
 def test_not_magic_image_verdict():
