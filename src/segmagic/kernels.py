@@ -18,14 +18,18 @@ from itertools import combinations, permutations
 KERNEL = "pure-python"
 
 
-def product_square_indices(values, row):
+def product_square_indices(values, row, diagonals=None):
     """Enumerate row-major n×n grids of distinct values whose first row is
     ``row`` and whose rows and columns all sum to that row's sum, n being
-    ``len(row)``; diagonals are left to the caller.
+    ``len(row)``.
 
-    values  at least ``n**2`` ascending distinct integers, the values the
-            cells may take; each is used at most once
-    row     the first row: n ≥ 1 distinct indices into ``values``
+    values     at least ``n**2`` ascending distinct integers, the values the
+               cells may take; each is used at most once
+    row        the first row: n ≥ 1 distinct indices into ``values``
+    diagonals  None, or a ``(vector, target)`` pair: keep only the grids
+               whose two main diagonals each sum to ``target`` when cell
+               index c counts as ``vector[c]``; the vector has one entry per
+               value and may differ from ``values``
 
     Returns the list of solutions in lexicographic order, each a row-major
     tuple of indices into ``values``.
@@ -47,18 +51,24 @@ def product_square_indices(values, row):
         raise ValueError("values must be ascending and distinct")
     if not row or len(set(row)) != n or any(not 0 <= c < m for c in row):
         raise ValueError(f"first row must be distinct indices below {m}")
+    if diagonals is not None and len(diagonals[0]) != m:
+        raise ValueError(f"diagonal vector needs {m} entries")
     target = sum(vals[c] for c in row)
-    return _grids(row, _line_sets(vals, n)[target], n)
+    return _grids(row, _line_sets(vals, n)[target], n, diagonals)
 
 
-def _grids(head, sets, n):
-    """Every grid with first row ``head``, ascending."""
+def _grids(head, sets, n, diagonals):
+    """Every grid with first row ``head``, ascending; with ``diagonals``,
+    only those whose main diagonals reach its target."""
     r0 = _mask(head)
     free = [s for s in sets if not s & r0]
     # Column j's candidates: the target-sum sets meeting row 0 in head[j] alone.
     # The last column is what the others leave of the rows' union: it meets
     # every row set once and its sum is n * target less theirs.
     meets = [[s for s in sets if s & r0 == 1 << c] for c in head[:-1]]
+    if diagonals is not None:
+        vector, total = diagonals
+        main, anti = total - vector[head[0]], total - vector[head[-1]]
     grids = []
     for rows in _disjoint(free, n - 1):
         union = r0 | sum(rows)
@@ -69,7 +79,18 @@ def _grids(head, sets, n):
         for cols in _one_of_each(options):
             cols += (union - sum(cols),)
             table = [tuple((r & c).bit_length() - 1 for c in cols) for r in rows]
-            grids += [sum(order, head) for order in permutations(table)]
+            if diagonals is None:
+                grids += [sum(order, head) for order in permutations(table)]
+                continue
+            # Grid row i is order[i - 1]: its main-diagonal cell is column i,
+            # its anti-diagonal cell column n - 1 - i.
+            for order in permutations(table):
+                down = up = 0
+                for i, cells in enumerate(order, 1):
+                    down += vector[cells[i]]
+                    up += vector[cells[-1 - i]]
+                if down == main and up == anti:
+                    grids.append(sum(order, head))
     grids.sort()
     return grids
 

@@ -5,7 +5,10 @@ of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  ``enumerate_squares``
 generates the admissible first rows here and runs the line-set generator in
 ``kernels`` (the kernel) once per row, then filters complete grids by one
-line-sum check, for universality and for orbit-minimality.
+line-sum check, for universality and for orbit-minimality.  For a magic or
+pandiagonal query the kernel also checks both main diagonals on the cell
+values, so it returns only magic grids; the line-sum check stays the exact
+one.
 
 The kernel completes each first row to the row's own sum, and runs on one of
 two routes.  The direct route hands it the cell values and first rows that
@@ -85,7 +88,8 @@ def enumerate_squares(
     and each row's squares are yielded as soon as its call returns, so the
     first square waits only for the calls up to its row.  The kernel yields
     grids whose rows and columns reach their target on the route the search
-    takes (see the module docstring); each is kept when its lines reach
+    takes (see the module docstring), and from the magic level on whose main
+    diagonals reach the magic sum; each is kept when its lines reach
     ``requirement``, every universality image reaches it with the same
     constant, and (with ``dedup``) no orbit element sorts it lower.  A first
     row is admissible when it reaches the route's target, every universality
@@ -128,8 +132,11 @@ def enumerate_squares(
     else:
         keys, key_target = values, target
 
+    # The Latin keys do not sum along diagonals, so the kernel checks the
+    # main diagonals on the cell values.
+    diagonals = (values, target) if requirement >= Category.MAGIC else None
     for row in _first_rows(n, keys, key_target, values, target, images, orbit):
-        for grid in kernels.product_square_indices(keys, row):
+        for grid in kernels.product_square_indices(keys, row, diagonals):
             key = [values[c] for c in grid]
             if line_level(key, n, target) < requirement or any(
                 line_level([image[grid[s]] for s in src], n, target) < requirement

@@ -153,11 +153,19 @@ def alphabet_of(square: Square) -> tuple[int, ...]:
 
 
 def parse_alphabet(text: str | Iterable[int]) -> tuple[int, ...]:
-    """Normalize an alphabet ("1258" or any digit iterable) to ascending digits."""
+    """Normalize an alphabet ("1258" or any digit iterable) to ascending digits.
+
+    A string shows itself in the ValueError; any other iterable is read
+    once, into a tuple, which the error shows instead.
+    """
     if isinstance(text, str):
         digits = [int(ch) if ch.isdigit() and ch.isascii() else -1 for ch in text]
     else:
-        digits = list(text)
+        try:
+            text = tuple(text)
+        except TypeError:
+            raise ValueError(f"alphabet must be decimal digits, got {text!r}") from None
+        digits = text
     if not digits or any(type(d) is not int or d not in range(10) for d in digits):
         raise ValueError(f"alphabet must be decimal digits, got {text!r}")
     if len(set(digits)) != len(digits):

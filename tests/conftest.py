@@ -24,7 +24,7 @@ def load_fixture(name: str) -> Square:
     return parse_square(fixture_path(name).read_text(encoding="utf-8"))
 
 
-def joined_grids(values, order, target, start=()):
+def joined_grids(values, order, target, start=(), diagonals=None):
     """The kernel's grids for every first row that begins with ``start`` and
     sums to ``target``, joined in ascending order of the rows."""
     rest = [i for i in range(len(values)) if i not in start]
@@ -33,7 +33,7 @@ def joined_grids(values, order, target, start=()):
         grid
         for row in rows
         if sum(values[c] for c in row) == target
-        for grid in kernels.product_square_indices(values, row)
+        for grid in kernels.product_square_indices(values, row, diagonals)
     ]
 
 
@@ -43,12 +43,27 @@ def kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, row):
+    def recording(values, row, diagonals=None):
         calls.append(row)
-        return kernel(values, row)
+        return kernel(values, row, diagonals)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     return calls
+
+
+@pytest.fixture
+def kernel_grids(kernel_calls, monkeypatch) -> list:
+    """How many grids each kernel call the test makes returns, in call order."""
+    counts = []
+    kernel = kernels.product_square_indices
+
+    def counting(values, row, diagonals=None):
+        grids = kernel(values, row, diagonals)
+        counts.append(len(grids))
+        return grids
+
+    monkeypatch.setattr(kernels, "product_square_indices", counting)
+    return counts
 
 
 @pytest.fixture

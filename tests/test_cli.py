@@ -237,6 +237,16 @@ def test_search_via_latin_on_colliding_pair_sums_matches_direct(capsys):
     assert captured.err == "2624 squares\n"
 
 
+def test_search_order5_pandiagonal_universal_dedup(capsys):
+    # The README's order-5 query: the Latin route with the kernel's diagonal
+    # check, frozen from the stream before the kernel checked diagonals.
+    argv = ["search", "--alphabet", "01258", "--expect", "pandiagonal"]
+    assert main([*argv, "--transforms", ALL_TRANSFORMS, "--dedup"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == "41f0e49c0226d888"
+    assert captured.err == "3660 squares\n"
+
+
 # The first two squares over 01258 without mirror-h and digit-reverse, on the
 # direct route; the first magic one is not a Latin pair.
 _ORDER5_HEADS = {

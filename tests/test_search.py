@@ -1,6 +1,7 @@
 """Enumeration, Latin-pair construction/decomposition, palindromic search."""
 
 import hashlib
+import re
 from datetime import date
 from itertools import combinations, islice, product
 
@@ -58,6 +59,13 @@ def test_parse_alphabet_rejects_bad_input():
         scan(date(2010, 1, 1), date(2010, 12, 31), floats, "exact")
     with pytest.raises(ValueError, match=digits):
         next(enumerate_squares([1.0, 2.0, 5.0]))
+    # Not iterable at all, and a one-shot iterable read once and shown.
+    with pytest.raises(ValueError, match=f"{digits}, got 1258$"):
+        next(enumerate_squares(1258))
+    with pytest.raises(ValueError, match=re.escape(f"{digits}, got (1, 2.0)")):
+        parse_alphabet(d for d in [1, 2.0])
+    with pytest.raises(ValueError, match=re.escape("repeated digits: (1, 2, 1)")):
+        parse_alphabet(iter([1, 2, 1]))
 
 
 def test_magic_sum_values():
@@ -250,20 +258,25 @@ def test_first_row_pruning_is_exact(alphabet):
     assert [s.concat for s in found] == expected
 
 
-def test_first_row_pruning_call_counts(kernel_calls):
+def test_first_row_pruning_call_counts(kernel_calls, kernel_grids):
+    def counts(stream):
+        kernel_calls.clear()
+        kernel_grids.clear()
+        squares = sum(1 for _ in stream)
+        assert kernel_calls == sorted(kernel_calls)
+        return squares, len(kernel_calls), sum(kernel_grids)
+
+    # Magic queries get only grids whose main diagonals reach the magic sum.
     universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
-    assert sum(1 for _ in universal) == 144
-    assert len(kernel_calls) == 156  # admissible Latin first rows
-    assert kernel_calls == sorted(kernel_calls)
-    kernel_calls.clear()
-    assert sum(1 for _ in enumerate_squares("1258")) == 1152
-    assert len(kernel_calls) == 576  # every Latin first row (4! * 4!)
-    assert kernel_calls == sorted(kernel_calls)
-    # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5).
-    kernel_calls.clear()
-    assert sum(1 for _ in enumerate_squares("1256")) == 4224
-    assert len(kernel_calls) == 1248  # every first row that reaches 154
-    assert kernel_calls == sorted(kernel_calls)
+    assert counts(universal) == (144, 156, 312)  # admissible Latin first rows
+    # Every Latin first row (4! * 4!).
+    assert counts(enumerate_squares("1258")) == (1152, 576, 1152)
+    # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5):
+    # every first row that reaches 154.
+    assert counts(enumerate_squares("1256")) == (4224, 1248, 4224)
+    # Semi-magic queries pass no diagonal check: the order4-latin-jsonl query.
+    semi = enumerate_squares("0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True)
+    assert counts(semi) == (864, 156, 1872)
 
 
 @pytest.mark.parametrize(
@@ -283,7 +296,9 @@ def test_order5_first_row_call_counts(
     # minutes a whole order-5 search takes.
     rows = []
     monkeypatch.setattr(
-        kernels, "product_square_indices", lambda values, row: rows.append(row) or []
+        kernels,
+        "product_square_indices",
+        lambda values, row, diagonals=None: rows.append(row) or [],
     )
     stream = enumerate_squares("01258", requirement, universality, dedup=dedup)
     assert list(stream) == []
@@ -364,7 +379,7 @@ def _route(alphabet, *query):
     """The route ``enumerate_squares(alphabet, *query)`` takes: "direct"
     when its first kernel call sums the cell values, "latin" otherwise."""
 
-    def first_call(values, row):
+    def first_call(values, row, diagonals=None):
         raise _FirstCall(list(values))
 
     with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstCall) as stop:
