@@ -4,11 +4,14 @@ A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  ``enumerate_squares``
 generates the admissible first rows here and runs the line-set generator in
-``kernels`` (the kernel) once per row, then filters complete grids by one
-line-sum check, for universality and for orbit-minimality.  For a magic or
-pandiagonal query the kernel also checks both main diagonals on the cell
-values, so it returns only magic grids; the line-sum check stays the exact
-one.
+``kernels`` (the kernel) once per row, then filters complete grids for
+universality and for orbit-minimality.  One line-sum check covers a grid and
+all its universality images at once: each cell index carries one integer
+that packs the cell's value and the value of its image under each
+transform, and the packed line sums reach the packed target exactly when
+every lane reaches the magic sum.  For a magic or pandiagonal query the
+kernel also checks both main diagonals on the cell values, so it returns
+only magic grids; the line-sum check stays the exact one.
 
 The kernel completes each first row to the row's own sum, and runs on one of
 two routes.  The direct route hands it the cell values and first rows that
@@ -89,10 +92,11 @@ def enumerate_squares(
     first square waits only for the calls up to its row.  The kernel yields
     grids whose rows and columns reach their target on the route the search
     takes (see the module docstring), and from the magic level on whose main
-    diagonals reach the magic sum; each is kept when its lines reach
-    ``requirement``, every universality image reaches it with the same
-    constant, and (with ``dedup``) no orbit element sorts it lower.  A first
-    row is admissible when it reaches the route's target, every universality
+    diagonals reach the magic sum; each is kept when its lines and those of
+    every universality image reach ``requirement`` with the same constant
+    (one ``line_level`` call on the packed values of the module docstring),
+    and (with ``dedup``) no orbit element sorts it lower.  A first row is
+    admissible when it reaches the route's target, every universality
     image's row taken from it reaches the magic sum, and (with ``dedup``) no
     orbit element that maps row 0 onto row 0 sorts it lower; the rows left
     out hold only squares the filter would drop.
@@ -132,17 +136,27 @@ def enumerate_squares(
     else:
         keys, key_target = values, target
 
+    # Every transform maps the lines of each category onto lines of that
+    # category, so an image reaches the requirement exactly when its value
+    # lane does on the grid's own lines.  One integer per cell holds every
+    # lane, each in a field wide enough that no line sum or target carries
+    # into the next, so one line_level call checks the grid and its images.
+    lanes = [values] + [image for _, image in images]
+    bits = max(n * max(map(max, lanes)), target).bit_length()
+    packed = [
+        sum(lane[c] << bits * k for k, lane in enumerate(lanes))
+        for c in range(n * n)
+    ]
+    packed_target = sum(target << bits * k for k in range(len(lanes)))
+
     # The Latin keys do not sum along diagonals, so the kernel checks the
     # main diagonals on the cell values.
     diagonals = (values, target) if requirement >= Category.MAGIC else None
     for row in _first_rows(n, keys, key_target, values, target, images, orbit):
         for grid in kernels.product_square_indices(keys, row, diagonals):
-            key = [values[c] for c in grid]
-            if line_level(key, n, target) < requirement or any(
-                line_level([image[grid[s]] for s in src], n, target) < requirement
-                for src, image in images
-            ):
+            if line_level([packed[c] for c in grid], n, packed_target) < requirement:
                 continue
+            key = [values[c] for c in grid]
             if any([image[grid[s]] for s in src] < key for src, image in orbit):
                 continue
             yield _from_grid(n, cells, grid)

@@ -93,12 +93,14 @@ class Square:
             raise ValueError("square has no rows")
         if any(len(row) != n for row in rows):
             raise ValueError("grid is not square")
-        width = len(rows[0][0])
+        width = None
         for row in rows:
             for cell in row:
-                if not cell or not set(cell) <= _DIGITS:
+                if not isinstance(cell, str) or not cell or not set(cell) <= _DIGITS:
                     raise ValueError(f"cell {cell!r} is not a digit string")
-                if len(cell) != width:
+                if width is None:
+                    width = len(cell)
+                elif len(cell) != width:
                     raise ValueError(f"cell {cell!r} does not have width {width}")
         object.__setattr__(self, "rows", rows)
 

@@ -238,13 +238,17 @@ def test_search_via_latin_on_colliding_pair_sums_matches_direct(capsys):
 
 
 def test_search_order5_pandiagonal_universal_dedup(capsys):
-    # The README's order-5 query: the Latin route with the kernel's diagonal
-    # check, frozen from the stream before the kernel checked diagonals.
-    argv = ["search", "--alphabet", "01258", "--expect", "pandiagonal"]
-    assert main([*argv, "--transforms", ALL_TRANSFORMS, "--dedup"]) == 0
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == "41f0e49c0226d888"
-    assert captured.err == "3660 squares\n"
+    # The README's order-5 queries: the Latin route with the kernel's diagonal
+    # check, frozen from the streams before the kernel checked diagonals.
+    for expect, count, digest in [
+        ("pandiagonal", 3660, "41f0e49c0226d888"),
+        ("magic", 7320, "b76ca33847516d5f"),
+    ]:
+        argv = ["search", "--alphabet", "01258", "--expect", expect]
+        assert main([*argv, "--transforms", ALL_TRANSFORMS, "--dedup"]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == digest
+        assert captured.err == f"{count} squares\n"
 
 
 # The first two squares over 01258 without mirror-h and digit-reverse, on the

@@ -10,6 +10,7 @@ import pytest
 from segmagic import (
     ATOMIC_TRANSFORMS,
     Category,
+    DIGIT_REVERSE,
     LatinPair,
     Square,
     apply_transform,
@@ -173,28 +174,42 @@ _TRANSFORM_SUBSETS = [
 )
 @pytest.mark.parametrize("alphabet", ["012", "069", "126", "258"])
 def test_universality_filter_and_dedup_order3(alphabet, transforms):
+    # Over {1,2,6} a half turn maps 6 to 9, so images leave the alphabet's
+    # cells.
+    for requirement in Category.SEMI_MAGIC, Category.MAGIC, Category.PANDIAGONAL_MAGIC:
+        _check_filter_and_dedup(alphabet, requirement, transforms)
+
+
+def test_universality_filter_and_dedup_order4_direct():
+    # {0,1,5,6} has 0+6 = 1+5, so the search takes the direct route, and
+    # digit-reverse drops 512 of its 4,736 magic squares.
+    squares, expected = _check_filter_and_dedup("0156", Category.MAGIC, [DIGIT_REVERSE])
+    assert (len(squares), len(expected)) == (4736, 4224)
+
+
+def _check_filter_and_dedup(alphabet, requirement, transforms):
     # The filter keeps exactly the squares whose images, built and classified
-    # as whole squares, stay at the level with the same constant.  Over
-    # {1,2,6} a half turn maps 6 to 9, so images leave the alphabet's cells.
-    for requirement in (Category.SEMI_MAGIC, Category.MAGIC):
-        target = magic_sum(parse_alphabet(alphabet))
-        expected = [
-            s.concat
-            for s in enumerate_squares(alphabet, requirement)
-            if all(_image_keeps_level(s, t, requirement, target) for t in transforms)
-        ]
-        universal = list(enumerate_squares(alphabet, requirement, transforms))
-        assert [s.concat for s in universal] == expected
-        deduped = list(enumerate_squares(alphabet, requirement, transforms, dedup=True))
-        # Each surviving square is the least member of its orbit, and
-        # expanding the orbits recovers the whole universal set.
-        assert {s.concat for s in deduped} <= set(expected)
-        for square in deduped:
-            assert min(_orbit(square, transforms)) == square.concat
-        recovered = set()
-        for square in deduped:
-            recovered |= _orbit(square, transforms)
-        assert recovered == set(expected)
+    # as whole squares, stay at the level with the same constant.
+    target = magic_sum(parse_alphabet(alphabet))
+    squares = list(enumerate_squares(alphabet, requirement))
+    expected = [
+        s.concat
+        for s in squares
+        if all(_image_keeps_level(s, t, requirement, target) for t in transforms)
+    ]
+    universal = list(enumerate_squares(alphabet, requirement, transforms))
+    assert [s.concat for s in universal] == expected
+    deduped = list(enumerate_squares(alphabet, requirement, transforms, dedup=True))
+    # Each surviving square is the least member of its orbit, and
+    # expanding the orbits recovers the whole universal set.
+    assert {s.concat for s in deduped} <= set(expected)
+    for square in deduped:
+        assert min(_orbit(square, transforms)) == square.concat
+    recovered = set()
+    for square in deduped:
+        recovered |= _orbit(square, transforms)
+    assert recovered == set(expected)
+    return squares, expected
 
 
 def _image_keeps_level(square, transform, requirement, target):

@@ -31,6 +31,8 @@ from segmagic.squares import (
     MAGIC_OTHER_CONSTANT,
     MAGIC_SAME_CONSTANT,
     Verdict,
+    lines,
+    source_positions,
 )
 
 from conftest import FIXTURES, load_fixture
@@ -104,6 +106,10 @@ def test_square_validates_construction():
         Square((("1", "22"), ("3", "4")))
     with pytest.raises(ValueError):
         Square((("1a", "22"), ("33", "44")))
+    with pytest.raises(ValueError, match=r"cell 5 is not a digit string"):
+        Square([[5]])
+    with pytest.raises(ValueError, match=r"cell \['1', '2'\] is not a digit string"):
+        Square([["11", ["1", "2"]], ["33", "44"]])
 
 
 def test_square_repr_equality_and_hash():
@@ -314,6 +320,17 @@ def test_transforms_are_involutions_on_fixtures():
         square = load_fixture(name)
         for transform in ATOMIC_TRANSFORMS:
             assert apply_transform(apply_transform(square, transform), transform) == square
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("transform", ATOMIC_TRANSFORMS)
+def test_transforms_map_lines_onto_lines_of_their_category(transform, n):
+    # An image's line sums are the square's sums along the source lines, so
+    # the search checks every image on the square's own lines.
+    src = source_positions(n, transform)
+    for category in Category:
+        own = {frozenset(line) for c, line in lines(n) if c == category}
+        assert {frozenset(src[p] for p in line) for line in own} == own
 
 
 def test_rot180_equals_mirror_h_after_mirror_v():
