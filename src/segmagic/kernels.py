@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 KERNEL = "pure-python"
 
 
-def product_square_indices(values, row, diagonals=None):
+def product_square_indices(values, row, diagonals=False):
     """Enumerate row-major n×n grids of distinct values whose first row is
     ``row`` and whose rows and columns all sum to that row's sum, n being
     ``len(row)``.
@@ -26,10 +26,8 @@ def product_square_indices(values, row, diagonals=None):
     values     at least ``n**2`` ascending distinct integers, the values the
                cells may take; each is used at most once
     row        the first row: n ≥ 1 distinct indices into ``values``
-    diagonals  None, or a ``(vector, target)`` pair: keep only the grids
-               whose two main diagonals each sum to ``target`` when cell
-               index c counts as ``vector[c]``; the vector has one entry per
-               value and may differ from ``values``
+    diagonals  keep only the grids whose two main diagonals also sum to
+               the first row's sum
 
     Returns the list of solutions in lexicographic order, each a row-major
     tuple of indices into ``values``.
@@ -51,15 +49,15 @@ def product_square_indices(values, row, diagonals=None):
         raise ValueError("values must be ascending and distinct")
     if not row or len(set(row)) != n or any(not 0 <= c < m for c in row):
         raise ValueError(f"first row must be distinct indices below {m}")
-    if diagonals is not None and len(diagonals[0]) != m:
-        raise ValueError(f"diagonal vector needs {m} entries")
     target = sum(vals[c] for c in row)
+    diagonals = (vals, target) if diagonals else None
     return _grids(row, _line_sets(vals, n)[target], n, diagonals)
 
 
 def _grids(head, sets, n, diagonals):
-    """Every grid with first row ``head``, ascending; with ``diagonals``,
-    only those whose main diagonals reach its target."""
+    """Every grid with first row ``head``, ascending; with ``diagonals``, a
+    ``(values, target)`` pair, only those whose main diagonals reach the
+    target."""
     r0 = _mask(head)
     free = [s for s in sets if not s & r0]
     # Column j's candidates: the target-sum sets meeting row 0 in head[j] alone.
@@ -137,9 +135,10 @@ def _mask(cells):
     return sum(1 << c for c in cells)
 
 
-# A search calls the generator once per first row, all over one values tuple
-# and order, so the table is built once per search.  One entry is kept; every
-# call shares the same dict and only reads it.
+# The direct and the palindromic search call the generator once per first
+# row, all over one values tuple and order, so the table is built once per
+# search.  One entry is kept; every call shares the same dict and only reads
+# it.
 
 
 @lru_cache(maxsize=1)

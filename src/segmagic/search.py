@@ -3,22 +3,28 @@
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  ``enumerate_squares``
-generates the admissible first rows here and runs the line-set generator in
-``kernels`` (the kernel) once per row, then filters complete grids for
+generates the admissible first rows here, completes each with the line-set
+generator in ``kernels`` (the kernel), then filters complete grids for
 universality and for orbit-minimality.  One line-sum check covers a grid and
 all its universality images at once: each cell index carries one integer
 that packs the cell's value and the value of its image under each
 transform, and the packed line sums reach the packed target exactly when
-every lane reaches the magic sum.  For a magic or pandiagonal query the
-kernel also checks both main diagonals on the cell values, so it returns
-only magic grids; the line-sum check stays the exact one.
+every lane reaches the magic sum.  For a magic or pandiagonal query both
+main diagonals are checked on the cell values before that, so only magic
+grids reach it; the line-sum check stays the exact one.
 
-The kernel completes each first row to the row's own sum, and runs on one of
-two routes.  The direct route hands it the cell values and first rows that
-reach the magic sum.  The Latin route hands it a key per cell that sums to
-its target along a line exactly when the line's tens digits and its units
-digits are each a permutation of D, so the kernel enumerates
-superimposed orthogonal Latin pairs.  Every such square is semi-magic; the
+The kernel completes a first row to the row's own sum, and the search runs
+on one of two routes.  The direct route runs the kernel on the cell values
+once per first row that reaches the magic sum, and the kernel checks the
+diagonals.  The Latin route hands it a key per cell that sums to its
+target along a line exactly when the line's tens digits and its units
+digits are each a permutation of D, so the kernel enumerates superimposed
+orthogonal Latin pairs.  It runs the kernel once per search, on the
+canonical first row of doubled digits (11 22 55 88 over {1,2,5,8}), and
+relabels the tens and the units of those grids to reach every other first
+row, whose completions they are one to one (the isotopy action through
+which Latin squares are counted from reduced forms; McKay, Meynert and
+Myrvold, "Small Latin squares, quasigroups and loops", 2007).  Every such square is semi-magic; the
 converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2, there
 are 353,664 semi-magic squares and only 6,912 of them have Latin digit
 grids.  The search takes the Latin route only where it misses no square, so
@@ -44,6 +50,7 @@ empty.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
@@ -87,19 +94,22 @@ def enumerate_squares(
     unknown transform raises ValueError on the first ``next``, before any
     kernel call.
 
-    The kernel runs once per admissible first row, in lexicographic order,
-    and each row's squares are yielded as soon as its call returns, so the
-    first square waits only for the calls up to its row.  The kernel yields
-    grids whose rows and columns reach their target on the route the search
-    takes (see the module docstring), and from the magic level on whose main
-    diagonals reach the magic sum; each is kept when its lines and those of
-    every universality image reach ``requirement`` with the same constant
-    (one ``line_level`` call on the packed values of the module docstring),
-    and (with ``dedup``) no orbit element sorts it lower.  A first row is
-    admissible when it reaches the route's target, every universality
-    image's row taken from it reaches the magic sum, and (with ``dedup``) no
-    orbit element that maps row 0 onto row 0 sorts it lower; the rows left
-    out hold only squares the filter would drop.
+    The admissible first rows are completed in lexicographic order, and
+    each row's squares are yielded as soon as its grids are known, so the
+    first square waits only for the rows up to its own.  The direct route
+    runs the kernel once per admissible row; the Latin route runs it once,
+    on the canonical row, at the first admissible row, and relabels its
+    grids for each row (see the module docstring).  A row's grids have rows
+    and columns that reach their target on the route the search takes, and
+    from the magic level on main diagonals that reach the magic sum; each
+    is kept when its lines and those of every universality image reach
+    ``requirement`` with the same constant (one ``line_level`` call on the
+    packed values of the module docstring), and (with ``dedup``) no orbit
+    element sorts it lower.  A first row is admissible when it reaches the
+    route's target, every universality image's row taken from it reaches
+    the magic sum, and (with ``dedup``) no orbit element that maps row 0
+    onto row 0 sorts it lower; the rows left out hold only squares the
+    filter would drop.
     """
     alphabet = parse_alphabet(alphabet)
     if not Category.SEMI_MAGIC <= requirement <= Category.PANDIAGONAL_MAGIC:
@@ -122,9 +132,10 @@ def enumerate_squares(
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
 
     pair_sums = [a + b for a, b in combinations(alphabet, 2)]
-    if len(set(pair_sums)) == len(pair_sums) and (
+    latin = len(set(pair_sums)) == len(pair_sums) and (
         n < 5 or {MIRROR_H, DIGIT_REVERSE} <= set(universality)
-    ):
+    )
+    if latin:
         # The Latin route: cell (a, b) gets key 2**a * 4**n + 2**b.  A sum
         # of n powers of two is 2**n - 1 only when it holds each power once,
         # and the units part stays below 4**n, so a line's keys sum to the
@@ -149,11 +160,14 @@ def enumerate_squares(
     ]
     packed_target = sum(target << bits * k for k in range(len(lanes)))
 
-    # The Latin keys do not sum along diagonals, so the kernel checks the
-    # main diagonals on the cell values.
-    diagonals = (values, target) if requirement >= Category.MAGIC else None
-    for row in _first_rows(n, keys, key_target, values, target, images, orbit):
-        for grid in kernels.product_square_indices(keys, row, diagonals):
+    magic = requirement >= Category.MAGIC
+    rows = _first_rows(n, keys, key_target, values, target, images, orbit)
+    if latin:
+        per_row = _latin_grids(rows, n, keys, values, target if magic else None)
+    else:
+        per_row = (kernels.product_square_indices(values, row, magic) for row in rows)
+    for grids in per_row:
+        for grid in grids:
             if line_level([packed[c] for c in grid], n, packed_target) < requirement:
                 continue
             key = [values[c] for c in grid]
@@ -193,6 +207,52 @@ def _first_rows(
         if any([image[row[s]] for s in src] < key for src, image in mins):
             continue
         yield row
+
+
+def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]]]:
+    """The Latin grids of each of ``rows`` in turn, each row's ascending;
+    with ``target``, only those whose main diagonals sum to it in
+    ``values``.
+
+    Cell index a·n + b holds tens index a and units index b.  Relabelling
+    the tens by σ and the units by τ maps orthogonal Latin pairs onto
+    orthogonal Latin pairs, so with σ(j) = a_j and τ(j) = b_j it maps the
+    completions of the canonical row (j, j) one to one onto those of the
+    row with cells (a_j, b_j).  The kernel completes the canonical row once,
+    at the first row, and never if there is none; its grids are then
+    relabelled for every row, the diagonal cells tested first.
+    """
+    size = n * n
+    main = range(0, size, n + 1)
+    anti = [i * (n - 1) + n - 1 for i in range(n)]
+    # A grid's diagonal cells index a row's cell values followed by the same
+    # values times ``scale``, so one sum gives down + up * scale.  No
+    # diagonal sum reaches ``scale``, so that sum is ``both`` exactly when
+    # each diagonal reaches the target.
+    scale = n * max(values) + 1
+    both = None if target is None else target * (1 + scale)
+    canonical = None
+    for row in rows:
+        if canonical is None:
+            canonical = []
+            for grid in kernels.product_square_indices(keys, tuple(main)):
+                diagonals = [grid[p] for p in main] + [size + grid[p] for p in anti]
+                canonical.append((grid, itemgetter(*diagonals)))
+        tens = [c // n for c in row]
+        units = [c % n for c in row]
+        table = [a * n + b for a in tens for b in units]
+        if target is None:
+            grids = [tuple(map(table.__getitem__, g)) for g, _ in canonical]
+        else:
+            cell = [values[c] for c in table]
+            lanes = cell + [v * scale for v in cell]
+            grids = [
+                tuple(map(table.__getitem__, g))
+                for g, diagonals in canonical
+                if sum(diagonals(lanes)) == both
+            ]
+        grids.sort()
+        yield grids
 
 
 class LatinPair(NamedTuple):

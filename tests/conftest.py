@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from segmagic import Square, kernels, parse_square
+from segmagic import Square, kernels, parse_square, search
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,7 +24,7 @@ def load_fixture(name: str) -> Square:
     return parse_square(fixture_path(name).read_text(encoding="utf-8"))
 
 
-def joined_grids(values, order, target, start=(), diagonals=None):
+def joined_grids(values, order, target, start=(), diagonals=False):
     """The kernel's grids for every first row that begins with ``start`` and
     sums to ``target``, joined in ascending order of the rows."""
     rest = [i for i in range(len(values)) if i not in start]
@@ -37,13 +37,20 @@ def joined_grids(values, order, target, start=(), diagonals=None):
     ]
 
 
+def diagonals_hit(grid, values, n, target):
+    """Both main diagonals of the row-major index grid sum to ``target``."""
+    down = sum(values[grid[i * n + i]] for i in range(n))
+    up = sum(values[grid[i * n + n - 1 - i]] for i in range(n))
+    return down == up == target
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
     """The first rows of every kernel call the test makes, in call order."""
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, row, diagonals=None):
+    def recording(values, row, diagonals=False):
         calls.append(row)
         return kernel(values, row, diagonals)
 
@@ -57,13 +64,29 @@ def kernel_grids(kernel_calls, monkeypatch) -> list:
     counts = []
     kernel = kernels.product_square_indices
 
-    def counting(values, row, diagonals=None):
+    def counting(values, row, diagonals=False):
         grids = kernel(values, row, diagonals)
         counts.append(len(grids))
         return grids
 
     monkeypatch.setattr(kernels, "product_square_indices", counting)
     return counts
+
+
+@pytest.fixture
+def first_rows(monkeypatch) -> list:
+    """The admissible first rows every search the test runs generates, in
+    order, on either route."""
+    rows = []
+    generate = search._first_rows
+
+    def recording(*args):
+        for row in generate(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(search, "_first_rows", recording)
+    return rows
 
 
 @pytest.fixture

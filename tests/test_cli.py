@@ -238,8 +238,9 @@ def test_search_via_latin_on_colliding_pair_sums_matches_direct(capsys):
 
 
 def test_search_order5_pandiagonal_universal_dedup(capsys):
-    # The README's order-5 queries: the Latin route with the kernel's diagonal
-    # check, frozen from the streams before the kernel checked diagonals.
+    # The README's order-5 queries, on the Latin route: one kernel call on
+    # the canonical first row, relabelled for each of the 3,660 admissible
+    # rows.  The streams were frozen before the kernel checked diagonals.
     for expect, count, digest in [
         ("pandiagonal", 3660, "41f0e49c0226d888"),
         ("magic", 7320, "b76ca33847516d5f"),

@@ -3,7 +3,7 @@
 import hashlib
 import re
 from datetime import date
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -24,12 +24,13 @@ from segmagic import (
     magic_sum,
     parse_alphabet,
     parse_square,
+    search,
 )
 from segmagic.dates import scan
 from segmagic.search import LatinPairError
 from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError
 
-from conftest import joined_grids, load_fixture
+from conftest import diagonals_hit, joined_grids, load_fixture
 
 
 # --- alphabets and constants --------------------------------------------------
@@ -273,25 +274,35 @@ def test_first_row_pruning_is_exact(alphabet):
     assert [s.concat for s in found] == expected
 
 
-def test_first_row_pruning_call_counts(kernel_calls, kernel_grids):
+def test_first_row_pruning_call_counts(first_rows, kernel_calls, kernel_grids):
     def counts(stream):
+        first_rows.clear()
         kernel_calls.clear()
         kernel_grids.clear()
         squares = sum(1 for _ in stream)
+        assert first_rows == sorted(first_rows)
         assert kernel_calls == sorted(kernel_calls)
-        return squares, len(kernel_calls), sum(kernel_grids)
+        return squares, len(first_rows), len(kernel_calls), sum(kernel_grids)
 
-    # Magic queries get only grids whose main diagonals reach the magic sum.
+    # The Latin route completes the canonical row 00 11 22 … once, 12 grids,
+    # and relabels them for each admissible first row.
     universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
-    assert counts(universal) == (144, 156, 312)  # admissible Latin first rows
+    assert counts(universal) == (144, 156, 1, 12)
+    assert kernel_calls == [(0, 5, 10, 15)]
     # Every Latin first row (4! * 4!).
-    assert counts(enumerate_squares("1258")) == (1152, 576, 1152)
-    # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5):
-    # every first row that reaches 154.
-    assert counts(enumerate_squares("1256")) == (4224, 1248, 4224)
-    # Semi-magic queries pass no diagonal check: the order4-latin-jsonl query.
+    assert counts(enumerate_squares("1258")) == (1152, 576, 1, 12)
+    # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5),
+    # runs the kernel on every first row that reaches 154; magic queries get
+    # only grids whose main diagonals reach the magic sum.
+    assert counts(enumerate_squares("1256")) == (4224, 1248, 1248, 4224)
+    # The order4-latin-jsonl query.
     semi = enumerate_squares("0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True)
-    assert counts(semi) == (864, 156, 1872)
+    assert counts(semi) == (864, 156, 1, 12)
+    # No first row over 012 has a mirror-h image that reaches 33 (2 becomes
+    # 5), so the Latin route never calls the kernel.
+    assert counts(enumerate_squares("012", Category.SEMI_MAGIC, ("mirror-h",))) == (
+        0, 0, 0, 0
+    )
 
 
 @pytest.mark.parametrize(
@@ -305,20 +316,65 @@ def test_first_row_pruning_call_counts(kernel_calls, kernel_grids):
     ],
 )
 def test_order5_first_row_call_counts(
-    monkeypatch, requirement, universality, dedup, calls
+    monkeypatch, first_rows, requirement, universality, dedup, calls
 ):
     # A kernel that completes no row counts the first rows without the
     # minutes a whole order-5 search takes.
-    rows = []
+    kernel_rows = []
     monkeypatch.setattr(
         kernels,
         "product_square_indices",
-        lambda values, row, diagonals=None: rows.append(row) or [],
+        lambda values, row, diagonals=False: kernel_rows.append(row) or [],
     )
     stream = enumerate_squares("01258", requirement, universality, dedup=dedup)
     assert list(stream) == []
-    assert len(rows) == calls
-    assert rows == sorted(rows)
+    assert len(first_rows) == calls
+    assert first_rows == sorted(first_rows)
+    # The Latin route calls the kernel on the canonical row alone, the
+    # direct route on every first row.
+    assert kernel_rows == ([(0, 6, 12, 18, 24)] if universality else first_rows)
+
+
+def _latin_keys(n):
+    return [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
+
+
+@pytest.mark.parametrize(
+    "alphabet, rows, per_row, magic",
+    [
+        # Every Latin first row (4! * 4!); 1,152 magic grids over each.
+        ("1258", None, 12, 1152),
+        ("0125", None, 12, 1152),
+        # Two sampled rows: tens 4 2 0 3 1 with units 1 3 4 0 2, and tens
+        # 3 2 4 1 0 with units 0 4 1 2 3.
+        ("01258", [(21, 13, 4, 15, 7), (15, 14, 21, 7, 3)], 432, 8),
+    ],
+)
+def test_latin_relabelling_equals_the_kernel(kernel_calls, alphabet, rows, per_row, magic):
+    # The relabelled canonical grids of each row are the kernel's own grids
+    # for that row; with the diagonal check, those whose main diagonals reach
+    # the magic sum in cell values.
+    digits = parse_alphabet(alphabet)
+    n = len(digits)
+    keys = _latin_keys(n)
+    values = [10 * x + y for x in digits for y in digits]
+    target = magic_sum(digits)
+    if rows is None:
+        rows = sorted(
+            tuple(a * n + b for a, b in zip(tens, units))
+            for tens in permutations(range(n))
+            for units in permutations(range(n))
+        )
+    relabelled = list(search._latin_grids(iter(rows), n, keys, values, None))
+    checked = list(search._latin_grids(iter(rows), n, keys, values, target))
+    assert kernel_calls == [tuple(range(0, n * n, n + 1))] * 2
+    assert len(relabelled) == len(checked) == len(rows)
+    for row, grids, kept in zip(rows, relabelled, checked):
+        expected = kernels.product_square_indices(keys, row)
+        assert grids == expected, row
+        assert len(grids) == per_row, row
+        assert kept == [g for g in expected if diagonals_hit(g, values, n, target)]
+    assert sum(map(len, checked)) == magic
 
 
 # --- Latin pairs -----------------------------------------------------------------
@@ -394,7 +450,7 @@ def _route(alphabet, *query):
     """The route ``enumerate_squares(alphabet, *query)`` takes: "direct"
     when its first kernel call sums the cell values, "latin" otherwise."""
 
-    def first_call(values, row, diagonals=None):
+    def first_call(values, row, diagonals=False):
         raise _FirstCall(list(values))
 
     with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstCall) as stop:
