@@ -135,10 +135,11 @@ def _mask(cells):
     return sum(1 << c for c in cells)
 
 
-# The direct and the palindromic search call the generator once per first
-# row, all over one values tuple and order, so the table is built once per
-# search.  One entry is kept; every call shares the same dict and only reads
-# it.
+# A search reads its first rows off this table and then calls the generator
+# over the same values tuple and order: once in all on the Latin route, once
+# per first row on the direct route and in the palindromic search.  The table
+# is built once per search.  One entry is kept; every caller shares the same
+# dict and only reads it.
 
 
 @lru_cache(maxsize=1)

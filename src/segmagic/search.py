@@ -3,15 +3,17 @@
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  ``enumerate_squares``
-generates the admissible first rows here, completes each with the line-set
-generator in ``kernels`` (the kernel), then filters complete grids for
-universality and for orbit-minimality.  One line-sum check covers a grid and
-all its universality images at once: each cell index carries one integer
-that packs the cell's value and the value of its image under each
-transform, and the packed line sums reach the packed target exactly when
-every lane reaches the magic sum.  For a magic or pandiagonal query both
-main diagonals are checked on the cell values before that, so only magic
-grids reach it; the line-sum check stays the exact one.
+takes the admissible first rows from the target-sum sets of the line-set
+generator in ``kernels`` (the kernel), completes them with the kernel, then
+filters complete grids for universality and for orbit-minimality.  One
+line-sum check covers a grid and all its universality images at once: each
+cell index carries one integer that packs the cell's value and the value of
+its image under each transform, and the packed line sums reach the packed
+target exactly when every lane reaches the magic sum.  The same packed sum
+over a first row's cells prunes the rows, since every transform maps row 0
+onto a line.  For a magic or pandiagonal query both main diagonals are
+checked on the cell values before the line-sum check, so only magic grids
+reach it; the line-sum check stays the exact one.
 
 The kernel completes a first row to the row's own sum, and the search runs
 on one of two routes.  The direct route runs the kernel on the cell values
@@ -49,6 +51,7 @@ empty.
 
 from __future__ import annotations
 
+from heapq import merge
 from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -59,6 +62,7 @@ from .squares import (
     MIRROR_H,
     Category,
     Square,
+    _check_cells,
     _from_grid,
     _group,
     _step,
@@ -105,11 +109,13 @@ def enumerate_squares(
     is kept when its lines and those of every universality image reach
     ``requirement`` with the same constant (one ``line_level`` call on the
     packed values of the module docstring), and (with ``dedup``) no orbit
-    element sorts it lower.  A first row is admissible when it reaches the
-    route's target, every universality image's row taken from it reaches
-    the magic sum, and (with ``dedup``) no orbit element that maps row 0
-    onto row 0 sorts it lower; the rows left out hold only squares the
-    filter would drop.
+    element sorts it lower.  A first row is admissible when it orders one of
+    the kernel's sets of n cells whose keys reach the route's target, the
+    images of those cells under every universality transform reach the
+    magic sum, and (with ``dedup``) no orbit element that maps row 0 onto
+    row 0 sorts it lower; the rows left out hold only squares the filter
+    would drop.  The cells are checked once, as ``Square`` checks them, and
+    each square is built from them without checking them again.
     """
     alphabet = parse_alphabet(alphabet)
     if not Category.SEMI_MAGIC <= requirement <= Category.PANDIAGONAL_MAGIC:
@@ -117,6 +123,7 @@ def enumerate_squares(
     universality = _transform_names(universality, "universality")
     n = len(alphabet)
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
+    _check_cells(cells)
     values = [int(c) for c in cells]
     target = magic_sum(alphabet)
 
@@ -161,7 +168,7 @@ def enumerate_squares(
     packed_target = sum(target << bits * k for k in range(len(lanes)))
 
     magic = requirement >= Category.MAGIC
-    rows = _first_rows(n, keys, key_target, values, target, images, orbit)
+    rows = _first_rows(n, keys, key_target, packed, packed_target, values, orbit)
     if latin:
         per_row = _latin_grids(rows, n, keys, values, target if magic else None)
     else:
@@ -170,39 +177,41 @@ def enumerate_squares(
         for grid in grids:
             if line_level([packed[c] for c in grid], n, packed_target) < requirement:
                 continue
-            key = [values[c] for c in grid]
-            if any([image[grid[s]] for s in src] < key for src, image in orbit):
-                continue
-            yield _from_grid(n, cells, grid)
+            # An image sorts lower at its first cell, or on a tie at that
+            # cell, by the whole grid.
+            head = values[grid[0]]
+            for src, image in orbit:
+                lead = image[grid[src[0]]]
+                if lead < head or lead == head and (
+                    [image[grid[s]] for s in src] < [values[c] for c in grid]
+                ):
+                    break
+            else:
+                yield _from_grid(n, cells, grid)
 
 
-def _first_rows(
-    n, keys, key_target, values, target, images, orbit
-) -> Iterator[tuple[int, ...]]:
+def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
     """The admissible first rows of ``enumerate_squares``, ascending.
 
-    A row is n distinct cell indices whose keys sum to the key target; its
-    last cell is forced.  Every transform maps rows to rows, so a
-    universality image whose row comes from row 0 must sum to the target
-    in values too.  An orbit element whose image row 0 comes from row 0 and
-    is below it lexicographically puts the whole image below the square,
-    which dedup would then drop.
+    A row is an ordering of one of the target-sum key sets that the kernel
+    caches for the search's own kernel calls.  Every transform maps row 0
+    onto a line made of the images of row 0's cells, so a set is kept only
+    when every lane of its packed values reaches the magic sum: the
+    universality images of every ordering then do too.  An orbit element
+    whose image row 0 comes from row 0 and is below it lexicographically
+    puts the whole image below the square, which dedup would then drop.
+    The orderings of a set, whose cells ascend, come out ascending, and the
+    sets' orderings are merged as they are needed.
     """
-    index = {k: c for c, k in enumerate(keys)}
-    sums = [
-        (src[r * n : r * n + n], image)
-        for src, image in images
-        for r in range(n)
-        if max(src[r * n : r * n + n]) < n
+    sets = (
+        [c for c in range(len(keys)) if mask >> c & 1]
+        for mask in kernels._line_sets(tuple(keys), n)[key_target]
+    )
+    orderings = [
+        permutations(s) for s in sets if sum(packed[c] for c in s) == packed_target
     ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
-    for head in permutations(range(len(keys)), n - 1):
-        last = index.get(key_target - sum(keys[c] for c in head))
-        if last is None or last in head:
-            continue
-        row = head + (last,)
-        if any(sum(image[row[s]] for s in src) != target for src, image in sums):
-            continue
+    for row in merge(*orderings):
         key = [values[c] for c in row]
         if any([image[row[s]] for s in src] < key for src, image in mins):
             continue
@@ -295,7 +304,9 @@ def from_latin_pair(pair: LatinPair, alphabet: Sequence[int]) -> Square:
     grid = [pair.a[i][j] * n + pair.b[i][j] for i in range(n) for j in range(n)]
     if len(set(grid)) != n * n:
         raise LatinPairError("grids are not orthogonal")
-    return _from_grid(n, [f"{x}{y}" for x, y in product(alphabet, repeat=2)], grid)
+    cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
+    _check_cells(cells)
+    return _from_grid(n, cells, grid)
 
 
 def decompose_to_latin_pair(square: Square) -> LatinPair | None:
@@ -348,6 +359,7 @@ def enumerate_palindromic(
     with that row's sum as its target.
     """
     cells = palindromic_cells(alphabet, width)
+    _check_cells(cells)
     values = [int(c) for c in cells]
     n = order
     if n < 1:

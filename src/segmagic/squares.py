@@ -93,15 +93,7 @@ class Square:
             raise ValueError("square has no rows")
         if any(len(row) != n for row in rows):
             raise ValueError("grid is not square")
-        width = None
-        for row in rows:
-            for cell in row:
-                if not isinstance(cell, str) or not cell or not set(cell) <= _DIGITS:
-                    raise ValueError(f"cell {cell!r} is not a digit string")
-                if width is None:
-                    width = len(cell)
-                elif len(cell) != width:
-                    raise ValueError(f"cell {cell!r} does not have width {width}")
+        _check_cells(cell for row in rows for cell in row)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -147,6 +139,18 @@ class Square:
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _check_cells(cells: Iterable[str]) -> None:
+    """Raise ValueError unless every cell is a digit string of one width."""
+    width = None
+    for cell in cells:
+        if not isinstance(cell, str) or not cell or not set(cell) <= _DIGITS:
+            raise ValueError(f"cell {cell!r} is not a digit string")
+        if width is None:
+            width = len(cell)
+        elif len(cell) != width:
+            raise ValueError(f"cell {cell!r} does not have width {width}")
 
 
 def alphabet_of(square: Square) -> tuple[int, ...]:
@@ -296,7 +300,7 @@ def line_level(values: Sequence[int], n: int, target: int) -> Category:
     """The highest category whose lines all sum to ``target``; ``values`` is
     the row-major grid of cell values."""
     for category, line in lines(n):
-        if sum(values[p] for p in line) != target:
+        if sum(map(values.__getitem__, line)) != target:
             return Category(category - 1)
     return Category.PANDIAGONAL_MAGIC
 
@@ -425,10 +429,19 @@ def _group(n, identity, generators):
 
 
 def _from_grid(n: int, cells: Sequence[str], grid: Sequence[int]) -> Square:
-    """The n x n square whose row-major cell p is ``cells[grid[p]]``."""
-    return Square.from_rows(
-        tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)
+    """The n x n square whose row-major cell p is ``cells[grid[p]]``.
+
+    The cells are not checked again: every caller takes them from cells
+    that ``_check_cells`` passed, or from their images under a transform,
+    which keep the digits and the width.
+    """
+    square = object.__new__(Square)
+    object.__setattr__(
+        square,
+        "rows",
+        tuple(tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)),
     )
+    return square
 
 
 def classify_universal(

@@ -28,7 +28,7 @@ from segmagic import (
 )
 from segmagic.dates import scan
 from segmagic.search import LatinPairError
-from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError
+from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError, _check_cells, _step
 
 from conftest import diagonals_hit, joined_grids, load_fixture
 
@@ -272,6 +272,111 @@ def test_first_row_pruning_is_exact(alphabet):
     assert len(expected) == 144
     found = enumerate_squares(alphabet, universality=ATOMIC_TRANSFORMS, dedup=True)
     assert [s.concat for s in found] == expected
+
+
+def _scanned_first_rows(n, keys, key_target, values, target, images, orbit):
+    """The admissible first rows found by scanning: every (n-1)-permutation
+    of the cells, the last cell forced by the key sum, the sum of every
+    universality image's row that comes from row 0, and the orbit elements
+    that map row 0 onto row 0."""
+    index = {k: c for c, k in enumerate(keys)}
+    sums = [
+        (src[r * n : r * n + n], image)
+        for src, image in images
+        for r in range(n)
+        if max(src[r * n : r * n + n]) < n
+    ]
+    mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
+    for head in permutations(range(len(keys)), n - 1):
+        last = index.get(key_target - sum(keys[c] for c in head))
+        if last is None or last in head:
+            continue
+        row = head + (last,)
+        if any(sum(image[row[s]] for s in src) != target for src, image in sums):
+            continue
+        key = [values[c] for c in row]
+        if any([image[row[s]] for s in src] < key for src, image in mins):
+            continue
+        yield row
+
+
+_ROW_TRANSFORMS = [
+    ((), False),
+    (("rot180",), False),
+    (("mirror-h", DIGIT_REVERSE), True),
+    (ATOMIC_TRANSFORMS, True),
+]
+
+
+@pytest.mark.parametrize(
+    "alphabets",
+    [
+        ["".join(c) for c in combinations("0123456789", 3)],
+        ["1258", "0125"],  # the Latin route
+        ["1256", "0123"],  # the direct route
+    ],
+    ids=["order3", "order4-latin", "order4-direct"],
+)
+def test_first_rows_equal_the_scan(monkeypatch, alphabets):
+    # The search's first rows, read off the kernel's target-sum sets, are
+    # the rows the scan finds, in the same order.
+    generate = search._first_rows
+    calls = []
+    monkeypatch.setattr(search, "_first_rows", lambda *args: calls.append(args) or ())
+    for alphabet, (universality, dedup) in product(alphabets, _ROW_TRANSFORMS):
+        digits = parse_alphabet(alphabet)
+        n = len(digits)
+        cells = [f"{x}{y}" for x in digits for y in digits]
+        identity = (tuple(range(n * n)), tuple(cells))
+        steps = [_step(n, identity, t) for t in universality]
+        calls.clear()
+        stream = enumerate_squares(alphabet, Category.MAGIC, universality, dedup=dedup)
+        assert list(stream) == []
+        case = (alphabet, universality)
+        if None in steps:
+            assert calls == [], case  # no square over the alphabet has an image
+            continue
+        (args,) = calls
+        n, keys, key_target, _, _, values, orbit = args
+        images = [(src, [int(c) for c in image]) for src, image in steps]
+        expected = list(
+            _scanned_first_rows(
+                n, keys, key_target, values, magic_sum(digits), images, orbit
+            )
+        )
+        assert list(generate(*args)) == expected, case
+
+
+@pytest.mark.parametrize(
+    "alphabet, universality",
+    [("1258", ATOMIC_TRANSFORMS), ("0125", ()), ("1256", (DIGIT_REVERSE,))],
+)
+def test_emitted_squares_pass_every_cell_check(monkeypatch, alphabet, universality):
+    # The search checks its cells once per query and builds each square
+    # without checking them again; each must equal the square built with
+    # every check.  1256 takes the direct route.
+    checked = []
+    monkeypatch.setattr(search, "_check_cells", lambda cells: checked.append(cells))
+    found = list(enumerate_squares(alphabet, Category.MAGIC, universality, dedup=True))
+    assert found
+    assert checked == [[f"{x}{y}" for x in alphabet for y in alphabet]]
+    for square in found:
+        assert type(square) is Square
+        assert square == Square(square.rows)
+        assert hash(square) == hash(Square(square.rows))
+
+
+@pytest.mark.parametrize(
+    "cells", [["12", "1x", "21", "22"], ["12", "123", "21", "22"], ["12", 12, "21", "22"]]
+)
+def test_cell_table_check_raises_the_square_errors(cells):
+    with pytest.raises(ValueError) as whole:
+        Square([cells[:2], cells[2:]])
+    with pytest.raises(ValueError) as table:
+        _check_cells(cells)
+    assert str(table.value) == str(whole.value)
+    words = r"cell .* (is not a digit string|does not have width 2)"
+    assert re.fullmatch(words, str(table.value))
 
 
 def test_first_row_pruning_call_counts(first_rows, kernel_calls, kernel_grids):
