@@ -23,8 +23,8 @@ def product_square_indices(values, row, diagonals=False):
     ``row`` and whose rows and columns all sum to that row's sum, n being
     ``len(row)``.
 
-    values     at least ``n**2`` ascending distinct integers, the values the
-               cells may take; each is used at most once
+    values     at least ``n**2`` ascending distinct integers, checked once
+               per table: the values the cells may take, each used at most once
     row        the first row: n ≥ 1 distinct indices into ``values``
     diagonals  keep only the grids whose two main diagonals also sum to
                the first row's sum
@@ -43,15 +43,11 @@ def product_square_indices(values, row, diagonals=False):
     vals = tuple(values)
     row = tuple(row)
     n, m = len(row), len(vals)
-    if m < n * n:
-        raise ValueError(f"need at least {n * n} values, got {m}")
-    if any(vals[i] >= vals[i + 1] for i in range(m - 1)):
-        raise ValueError("values must be ascending and distinct")
     if not row or len(set(row)) != n or any(not 0 <= c < m for c in row):
         raise ValueError(f"first row must be distinct indices below {m}")
+    sets = _line_sets(vals, n)
     target = sum(vals[c] for c in row)
-    diagonals = (vals, target) if diagonals else None
-    return _grids(row, _line_sets(vals, n)[target], n, diagonals)
+    return _grids(row, sets[target], n, (vals, target) if diagonals else None)
 
 
 def _grids(head, sets, n, diagonals):
@@ -67,6 +63,16 @@ def _grids(head, sets, n, diagonals):
     if diagonals is not None:
         vector, total = diagonals
         main, anti = total - vector[head[0]], total - vector[head[-1]]
+
+        def on_diagonals(order):
+            # Grid row i is order[i - 1]: its main-diagonal cell is column i,
+            # its anti-diagonal cell column n - 1 - i.
+            down = up = 0
+            for i, cells in enumerate(order, 1):
+                down += vector[cells[i]]
+                up += vector[cells[-1 - i]]
+            return down == main and up == anti
+
     grids = []
     for rows in _disjoint(free, n - 1):
         union = r0 | sum(rows)
@@ -77,18 +83,10 @@ def _grids(head, sets, n, diagonals):
         for cols in _one_of_each(options):
             cols += (union - sum(cols),)
             table = [tuple((r & c).bit_length() - 1 for c in cols) for r in rows]
-            if diagonals is None:
-                grids += [sum(order, head) for order in permutations(table)]
-                continue
-            # Grid row i is order[i - 1]: its main-diagonal cell is column i,
-            # its anti-diagonal cell column n - 1 - i.
-            for order in permutations(table):
-                down = up = 0
-                for i, cells in enumerate(order, 1):
-                    down += vector[cells[i]]
-                    up += vector[cells[-1 - i]]
-                if down == main and up == anti:
-                    grids.append(sum(order, head))
+            orders = permutations(table)
+            if diagonals is not None:
+                orders = filter(on_diagonals, orders)
+            grids += [sum(order, head) for order in orders]
     grids.sort()
     return grids
 
@@ -138,13 +136,17 @@ def _mask(cells):
 # A search reads its first rows off this table and then calls the generator
 # over the same values tuple and order: once in all on the Latin route, once
 # per first row on the direct route and in the palindromic search.  The table
-# is built once per search.  One entry is kept; every caller shares the same
-# dict and only reads it.
+# is built and its values checked once per search.  One entry is kept; every
+# caller shares the same dict and only reads it.
 
 
 @lru_cache(maxsize=1)
 def _line_sets(vals: tuple[int, ...], n: int) -> dict[int, tuple[int, ...]]:
     """Value sum -> every n-subset of indices with that sum, as bitmasks."""
+    if len(vals) < n * n:
+        raise ValueError(f"need at least {n * n} values, got {len(vals)}")
+    if any(a >= b for a, b in zip(vals, vals[1:])):
+        raise ValueError("values must be ascending and distinct")
     sets: dict[int, list[int]] = {}
     for combo in combinations(range(len(vals)), n):
         sets.setdefault(sum(vals[c] for c in combo), []).append(_mask(combo))

@@ -94,9 +94,9 @@ def enumerate_squares(
     lexicographically least square of each orbit under the group those
     transforms generate (skipping transforms that break digit validity).
     The order is the alphabet's size.  A non-digit alphabet, a requirement
-    outside semi-magic to pandiagonal, a string for ``universality`` or an
-    unknown transform raises ValueError on the first ``next``, before any
-    kernel call.
+    other than semi-magic, magic or pandiagonal, a string for ``universality``
+    or an unknown transform raises ValueError on the first ``next``, before
+    any kernel call.
 
     The admissible first rows are completed in lexicographic order, and
     each row's squares are yielded as soon as its grids are known, so the
@@ -118,7 +118,7 @@ def enumerate_squares(
     each square is built from them without checking them again.
     """
     alphabet = parse_alphabet(alphabet)
-    if not Category.SEMI_MAGIC <= requirement <= Category.PANDIAGONAL_MAGIC:
+    if requirement not in range(Category.SEMI_MAGIC, Category.PANDIAGONAL_MAGIC + 1):
         raise ValueError("requirement must be semi-magic, magic or pandiagonal")
     universality = _transform_names(universality, "universality")
     n = len(alphabet)
@@ -175,19 +175,23 @@ def enumerate_squares(
         per_row = (kernels.product_square_indices(values, row, magic) for row in rows)
     for grids in per_row:
         for grid in grids:
-            if line_level([packed[c] for c in grid], n, packed_target) < requirement:
-                continue
-            # An image sorts lower at its first cell, or on a tie at that
-            # cell, by the whole grid.
-            head = values[grid[0]]
-            for src, image in orbit:
-                lead = image[grid[src[0]]]
-                if lead < head or lead == head and (
-                    [image[grid[s]] for s in src] < [values[c] for c in grid]
-                ):
-                    break
-            else:
+            level = line_level([packed[c] for c in grid], n, packed_target)
+            if level >= requirement and not _sorts_lower(grid, values, orbit):
                 yield _from_grid(n, cells, grid)
+
+
+def _sorts_lower(cells, values, elements):
+    """Whether one of ``elements`` (source positions, image value per cell
+    index) maps the cells onto a sequence below their ``values``: at the
+    first cell, or on a tie there, by the whole sequence."""
+    head = values[cells[0]]
+    for src, image in elements:
+        lead = image[cells[src[0]]]
+        if lead < head or lead == head and (
+            [image[cells[s]] for s in src] < [values[c] for c in cells]
+        ):
+            return True
+    return False
 
 
 def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
@@ -199,9 +203,9 @@ def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
     when every lane of its packed values reaches the magic sum: the
     universality images of every ordering then do too.  An orbit element
     whose image row 0 comes from row 0 and is below it lexicographically
-    puts the whole image below the square, which dedup would then drop.
-    The orderings of a set, whose cells ascend, come out ascending, and the
-    sets' orderings are merged as they are needed.
+    puts the whole image below the square, which dedup would then drop; the
+    grid filter's orbit test, ``_sorts_lower``, finds such rows.  Each set's
+    orderings come out ascending, as its cells ascend, merged as needed.
     """
     sets = (
         [c for c in range(len(keys)) if mask >> c & 1]
@@ -212,10 +216,8 @@ def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
     ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
     for row in merge(*orderings):
-        key = [values[c] for c in row]
-        if any([image[row[s]] for s in src] < key for src, image in mins):
-            continue
-        yield row
+        if not _sorts_lower(row, values, mins):
+            yield row
 
 
 def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]]]:
@@ -247,19 +249,14 @@ def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]
             for grid in kernels.product_square_indices(keys, tuple(main)):
                 diagonals = [grid[p] for p in main] + [size + grid[p] for p in anti]
                 canonical.append((grid, itemgetter(*diagonals)))
-        tens = [c // n for c in row]
-        units = [c % n for c in row]
-        table = [a * n + b for a in tens for b in units]
-        if target is None:
-            grids = [tuple(map(table.__getitem__, g)) for g, _ in canonical]
-        else:
-            cell = [values[c] for c in table]
-            lanes = cell + [v * scale for v in cell]
-            grids = [
-                tuple(map(table.__getitem__, g))
-                for g, diagonals in canonical
-                if sum(diagonals(lanes)) == both
-            ]
+        table = [a // n * n + b % n for a in row for b in row]
+        cell = [values[c] for c in table]
+        lanes = cell + [v * scale for v in cell]
+        grids = [
+            tuple(map(table.__getitem__, g))
+            for g, diagonals in canonical
+            if both is None or sum(diagonals(lanes)) == both
+        ]
         grids.sort()
         yield grids
 
@@ -337,8 +334,8 @@ def decompose_to_latin_pair(square: Square) -> LatinPair | None:
 def palindromic_cells(alphabet: Sequence[int] | str, width: int) -> list[str]:
     """All width-w palindromic digit strings over the alphabet, ascending."""
     alphabet = parse_alphabet(alphabet)
-    if width < 1:
-        raise ValueError("width must be at least 1")
+    if type(width) is not int or width < 1:
+        raise ValueError(f"width must be an int of at least 1, got {width!r}")
     half = (width + 1) // 2
     out = []
     for head in product(alphabet, repeat=half):
@@ -356,14 +353,15 @@ def enumerate_palindromic(
     alphabet; rows and columns must share one sum (the diagonals are free).
     Output is lexicographic by row-major concatenation.  The first row sets
     the sum: the kernel runs once per first row, in lexicographic order,
-    with that row's sum as its target.
+    with that row's sum as its target.  An order or a width that is not an
+    ``int`` of at least 1 raises ValueError on the first ``next``.
     """
     cells = palindromic_cells(alphabet, width)
     _check_cells(cells)
     values = [int(c) for c in cells]
     n = order
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"order must be an int of at least 1, got {n!r}")
     if len(cells) < n * n:
         return
     for row in permutations(range(len(cells)), n):

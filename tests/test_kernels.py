@@ -66,6 +66,18 @@ def test_kernel_validation():
         kernels.product_square_indices(good, ())
 
 
+def test_bad_row_raises_before_the_table_is_built():
+    # The values are checked when their table is built; a bad first row
+    # fails first, so it neither enumerates C(100, 10) index sets nor takes
+    # the cache's one slot from a search's table.
+    kernels._line_sets(tuple(_values((0, 1, 2))), 3)
+    misses = kernels._line_sets.cache_info().misses
+    for row in [(0,) * 10, (0, 1, 100), ()]:
+        with pytest.raises(ValueError, match="first row must be distinct"):
+            kernels.product_square_indices(range(100), row)
+    assert kernels._line_sets.cache_info().misses == misses
+
+
 def test_kernel_where_latin_route_is_no_oracle():
     # 0+3 = 1+2, so the Latin route misses squares over {0,1,2,3}: pin the
     # kernel's own count for first cell 00.

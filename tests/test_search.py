@@ -81,6 +81,7 @@ _BAD_INPUTS = {
     "non-digit-alphabet": ({"alphabet": "12a"}, "decimal digits, got '12a'"),
     "not-magic": ({"requirement": Category.NOT_MAGIC}, "requirement must be"),
     "above-pandiagonal": ({"requirement": 7}, "requirement must be"),
+    "between-levels": ({"requirement": 2.5}, "requirement must be"),
     "unknown-transform": ({"universality": ("transpose",)}, "'transpose'"),
     "transform-string": ({"universality": "rot180"}, "universality .* 'rot180'"),
 }
@@ -708,8 +709,13 @@ def test_palindromic_more_cells_than_places(alphabet, width, count):
     assert len(set(concats)) == count
 
 
-def test_palindromic_validation():
+def test_palindromic_validation(kernel_calls):
     with pytest.raises(ValueError):
         list(enumerate_palindromic(parse_alphabet("125"), 0, 3))
     with pytest.raises(ValueError):
         list(enumerate_palindromic(parse_alphabet("125"), 3, 0))
+    # An order or a width must be an int, and a bool is not one.
+    for order, width in [(3.0, 3), (3, 3.0), ("3", 3), (3, "3"), (3, True), (True, 3)]:
+        with pytest.raises(ValueError, match=r"(order|width) must be an int"):
+            next(enumerate_palindromic("125", order, width))
+    assert kernel_calls == []
