@@ -62,12 +62,11 @@ from .squares import (
     MIRROR_H,
     Category,
     Square,
-    _check_cells,
+    _cell_set,
     _from_grid,
     _group,
     _step,
     _transform_names,
-    classify,
     line_level,
     parse_alphabet,
 )
@@ -114,8 +113,8 @@ def enumerate_squares(
     images of those cells under every universality transform reach the
     magic sum, and (with ``dedup``) no orbit element that maps row 0 onto
     row 0 sorts it lower; the rows left out hold only squares the filter
-    would drop.  The cells are checked once, as ``Square`` checks them, and
-    each square is built from them without checking them again.
+    would drop.  The cells are written from the parsed alphabet, so the
+    squares skip ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
     if requirement not in range(Category.SEMI_MAGIC, Category.PANDIAGONAL_MAGIC + 1):
@@ -123,7 +122,6 @@ def enumerate_squares(
     universality = _transform_names(universality, "universality")
     n = len(alphabet)
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
-    _check_cells(cells)
     values = [int(c) for c in cells]
     target = magic_sum(alphabet)
 
@@ -135,7 +133,6 @@ def enumerate_squares(
     if None in steps:
         return  # a transform has no image of some cell of every square
     orbit = _group(n, identity, universality) if dedup else ()
-    images = [(src, [int(c) for c in image]) for src, image in steps]
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
 
     pair_sums = [a + b for a, b in combinations(alphabet, 2)]
@@ -159,7 +156,7 @@ def enumerate_squares(
     # lane does on the grid's own lines.  One integer per cell holds every
     # lane, each in a field wide enough that no line sum or target carries
     # into the next, so one line_level call checks the grid and its images.
-    lanes = [values] + [image for _, image in images]
+    lanes = [values] + [[int(c) for c in image] for _, image in steps]
     bits = max(n * max(map(max, lanes)), target).bit_length()
     packed = [
         sum(lane[c] << bits * k for k, lane in enumerate(lanes))
@@ -302,7 +299,6 @@ def from_latin_pair(pair: LatinPair, alphabet: Sequence[int]) -> Square:
     if len(set(grid)) != n * n:
         raise LatinPairError("grids are not orthogonal")
     cells = [f"{x}{y}" for x, y in product(alphabet, repeat=2)]
-    _check_cells(cells)
     return _from_grid(n, cells, grid)
 
 
@@ -317,7 +313,7 @@ def decompose_to_latin_pair(square: Square) -> LatinPair | None:
     if square.width != 2:
         raise ValueError(f"need width-2 cells, got width {square.width}")
     n = square.order
-    cell_set = classify(square).cell_set
+    cell_set = _cell_set(square)
     if cell_set.kind != "exact-product":
         return None
     index = {str(d): k for k, d in enumerate(cell_set.alphabet)}
@@ -357,7 +353,6 @@ def enumerate_palindromic(
     ``int`` of at least 1 raises ValueError on the first ``next``.
     """
     cells = palindromic_cells(alphabet, width)
-    _check_cells(cells)
     values = [int(c) for c in cells]
     n = order
     if type(n) is not int or n < 1:

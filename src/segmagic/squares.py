@@ -93,7 +93,12 @@ class Square:
             raise ValueError("square has no rows")
         if any(len(row) != n for row in rows):
             raise ValueError("grid is not square")
-        _check_cells(cell for row in rows for cell in row)
+        first = rows[0][0]
+        for cell in (cell for row in rows for cell in row):
+            if not isinstance(cell, str) or not cell or not set(cell) <= _DIGITS:
+                raise ValueError(f"cell {cell!r} is not a digit string")
+            if len(cell) != len(first):
+                raise ValueError(f"cell {cell!r} does not have width {len(first)}")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -139,18 +144,6 @@ class Square:
 
     def __str__(self) -> str:
         return render(self)
-
-
-def _check_cells(cells: Iterable[str]) -> None:
-    """Raise ValueError unless every cell is a digit string of one width."""
-    width = None
-    for cell in cells:
-        if not isinstance(cell, str) or not cell or not set(cell) <= _DIGITS:
-            raise ValueError(f"cell {cell!r} is not a digit string")
-        if width is None:
-            width = len(cell)
-        elif len(cell) != width:
-            raise ValueError(f"cell {cell!r} does not have width {width}")
 
 
 def alphabet_of(square: Square) -> tuple[int, ...]:
@@ -431,9 +424,11 @@ def _group(n, identity, generators):
 def _from_grid(n: int, cells: Sequence[str], grid: Sequence[int]) -> Square:
     """The n x n square whose row-major cell p is ``cells[grid[p]]``.
 
-    The cells are not checked again: every caller takes them from cells
-    that ``_check_cells`` passed, or from their images under a transform,
-    which keep the digits and the width.
+    The cells are not checked: every caller builds them as non-empty digit
+    strings of one width.  ``search`` writes each cell from digits of an
+    alphabet that ``parse_alphabet`` passed (ints 0-9, never bools), as
+    ``f"{x}{y}"`` or through ``palindromic_cells``; ``apply_transform`` takes
+    the images of a ``Square``'s cells, which keep the digits and the width.
     """
     square = object.__new__(Square)
     object.__setattr__(

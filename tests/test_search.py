@@ -28,7 +28,7 @@ from segmagic import (
 )
 from segmagic.dates import scan
 from segmagic.search import LatinPairError
-from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError, _check_cells, _step
+from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError, _step
 
 from conftest import diagonals_hit, joined_grids, load_fixture
 
@@ -348,19 +348,31 @@ def test_first_rows_equal_the_scan(monkeypatch, alphabets):
         assert list(generate(*args)) == expected, case
 
 
+def _magic_dedup(alphabet, universality):
+    return lambda: enumerate_squares(alphabet, Category.MAGIC, universality, dedup=True)
+
+
+def _rebuilt_5x5():
+    pair = decompose_to_latin_pair(load_fixture("universal_5x5"))
+    return [from_latin_pair(pair, (0, 1, 2, 5, 8))]
+
+
 @pytest.mark.parametrize(
-    "alphabet, universality",
-    [("1258", ATOMIC_TRANSFORMS), ("0125", ()), ("1256", (DIGIT_REVERSE,))],
+    "build",
+    [
+        pytest.param(_magic_dedup("1258", ATOMIC_TRANSFORMS), id="1258-universality0"),
+        pytest.param(_magic_dedup("0125", ()), id="0125-universality1"),
+        pytest.param(_magic_dedup("1256", (DIGIT_REVERSE,)), id="1256-universality2"),
+        pytest.param(lambda: enumerate_palindromic("125", 3, 3), id="palindromic-125"),
+        pytest.param(_rebuilt_5x5, id="latin-pair-5x5"),
+    ],
 )
-def test_emitted_squares_pass_every_cell_check(monkeypatch, alphabet, universality):
-    # The search checks its cells once per query and builds each square
-    # without checking them again; each must equal the square built with
-    # every check.  1256 takes the direct route.
-    checked = []
-    monkeypatch.setattr(search, "_check_cells", lambda cells: checked.append(cells))
-    found = list(enumerate_squares(alphabet, Category.MAGIC, universality, dedup=True))
+def test_emitted_squares_pass_every_cell_check(build):
+    # Every builder writes its own cells and skips Square's checks; each
+    # square must equal, and hash as, the square built with every check.
+    # 1256 takes the direct route, 1258 and 0125 the Latin one.
+    found = list(build())
     assert found
-    assert checked == [[f"{x}{y}" for x in alphabet for y in alphabet]]
     for square in found:
         assert type(square) is Square
         assert square == Square(square.rows)
@@ -373,11 +385,8 @@ def test_emitted_squares_pass_every_cell_check(monkeypatch, alphabet, universali
 def test_cell_table_check_raises_the_square_errors(cells):
     with pytest.raises(ValueError) as whole:
         Square([cells[:2], cells[2:]])
-    with pytest.raises(ValueError) as table:
-        _check_cells(cells)
-    assert str(table.value) == str(whole.value)
     words = r"cell .* (is not a digit string|does not have width 2)"
-    assert re.fullmatch(words, str(table.value))
+    assert re.fullmatch(words, str(whole.value))
 
 
 def test_first_row_pruning_call_counts(first_rows, kernel_calls, kernel_grids):
