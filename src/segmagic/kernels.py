@@ -135,9 +135,10 @@ def _mask(cells):
 
 # A search reads its first rows off this table and then calls the generator
 # over the same values tuple and order: once in all on the Latin route, once
-# per first row on the direct route and in the palindromic search.  The table
-# is built and its values checked once per search.  One entry is kept; every
-# caller shares the same dict and only reads it.
+# per first row on the direct route, and once per first-row cell set in the
+# palindromic search.  The table is built and its values checked once per
+# search.  One entry is kept; every caller shares the same dict and only
+# reads it.
 
 
 @lru_cache(maxsize=1)

@@ -11,9 +11,13 @@ cell index carries one integer that packs the cell's value and the value of
 its image under each transform, and the packed line sums reach the packed
 target exactly when every lane reaches the magic sum.  The same packed sum
 over a first row's cells prunes the rows, since every transform maps row 0
-onto a line.  For a magic or pandiagonal query both main diagonals are
-checked on the cell values before the line-sum check, so only magic grids
-reach it; the line-sum check stays the exact one.
+onto a line.  The check reads only the lines up to the query's level, and
+on the Latin route (below) only the diagonals among them: there every row
+and column holds each tens digit once and each units digit once, so each
+lane sums alike along all of them, to its sum along row 0.  For a magic or
+pandiagonal query both main diagonals are checked on the cell values
+before the line-sum check, so only magic grids reach it; the line-sum
+check stays the exact one.
 
 The kernel completes a first row to the row's own sum, and the search runs
 on one of two routes.  The direct route runs the kernel on the cell values
@@ -68,6 +72,7 @@ from .squares import (
     _step,
     _transform_names,
     line_level,
+    lines,
     parse_alphabet,
 )
 
@@ -107,13 +112,15 @@ def enumerate_squares(
     from the magic level on main diagonals that reach the magic sum; each
     is kept when its lines and those of every universality image reach
     ``requirement`` with the same constant (one ``line_level`` call on the
-    packed values of the module docstring), and (with ``dedup``) no orbit
-    element sorts it lower.  A first row is admissible when it orders one of
-    the kernel's sets of n cells whose keys reach the route's target, the
-    images of those cells under every universality transform reach the
-    magic sum, and (with ``dedup``) no orbit element that maps row 0 onto
-    row 0 sorts it lower; the rows left out hold only squares the filter
-    would drop.  The cells are written from the parsed alphabet, so the
+    packed values of the module docstring, over the lines up to
+    ``requirement``, and on the Latin route over their diagonals alone,
+    since row 0 settles the rows and columns there), and (with ``dedup``)
+    no orbit element sorts it lower.  A first row is admissible when it
+    orders one of the kernel's sets of n cells whose keys reach the route's
+    target, the images of those cells under every universality transform
+    reach the magic sum, and (with ``dedup``) no orbit element that maps
+    row 0 onto row 0 sorts it lower; the rows left out hold only squares
+    the filter would drop.  The cells are written from the parsed alphabet, so the
     squares skip ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
@@ -155,7 +162,12 @@ def enumerate_squares(
     # category, so an image reaches the requirement exactly when its value
     # lane does on the grid's own lines.  One integer per cell holds every
     # lane, each in a field wide enough that no line sum or target carries
-    # into the next, so one line_level call checks the grid and its images.
+    # into the next, so one line_level call checks the grid and its images,
+    # on the lines up to the requirement.  On the Latin route row 0's packed
+    # sum, which _first_rows checks, settles the rows and columns (see the
+    # module docstring), so only the diagonals are left.
+    lowest = Category.MAGIC if latin else Category.SEMI_MAGIC
+    table = [(c, line) for c, line in lines(n) if lowest <= c <= requirement]
     lanes = [values] + [[int(c) for c in image] for _, image in steps]
     bits = max(n * max(map(max, lanes)), target).bit_length()
     packed = [
@@ -172,7 +184,7 @@ def enumerate_squares(
         per_row = (kernels.product_square_indices(values, row, magic) for row in rows)
     for grids in per_row:
         for grid in grids:
-            level = line_level([packed[c] for c in grid], n, packed_target)
+            level = line_level([packed[c] for c in grid], table, packed_target)
             if level >= requirement and not _sorts_lower(grid, values, orbit):
                 yield _from_grid(n, cells, grid)
 
@@ -348,9 +360,12 @@ def enumerate_palindromic(
     Cells are drawn without repetition from the width-w palindromes over the
     alphabet; rows and columns must share one sum (the diagonals are free).
     Output is lexicographic by row-major concatenation.  The first row sets
-    the sum: the kernel runs once per first row, in lexicographic order,
-    with that row's sum as its target.  An order or a width that is not an
-    ``int`` of at least 1 raises ValueError on the first ``next``.
+    the sum, and the first rows come in lexicographic order.  Permuting a
+    first row's cells permutes the columns of each of its completions, so
+    the kernel runs once per cell set, on its ascending ordering, which
+    comes first; every other ordering permutes the columns of those grids.
+    An order or a width that is not an ``int`` of at least 1 raises
+    ValueError on the first ``next``.
     """
     cells = palindromic_cells(alphabet, width)
     values = [int(c) for c in cells]
@@ -359,6 +374,24 @@ def enumerate_palindromic(
         raise ValueError(f"order must be an int of at least 1, got {n!r}")
     if len(cells) < n * n:
         return
+    completed = {}  # ascending row -> its grids, while an ordering may follow
+    first = None
     for row in permutations(range(len(cells)), n):
-        for grid in kernels.product_square_indices(values, row):
+        if row[0] != first:
+            first = row[0]
+            completed = {s: g for s, g in completed.items() if s[-1] >= first}
+        ascending = tuple(sorted(row))
+        if row == ascending:
+            grids = kernels.product_square_indices(values, row)
+            if grids:
+                completed[row] = grids
+        elif ascending in completed:
+            columns = [ascending.index(c) for c in row]
+            source = [i + j for i in range(0, n * n, n) for j in columns]
+            grids = sorted(
+                tuple(map(g.__getitem__, source)) for g in completed[ascending]
+            )
+        else:
+            continue
+        for grid in grids:
             yield _from_grid(n, cells, grid)

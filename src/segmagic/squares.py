@@ -289,10 +289,16 @@ def lines(n: int) -> tuple[tuple[Category, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def line_level(values: Sequence[int], n: int, target: int) -> Category:
-    """The highest category whose lines all sum to ``target``; ``values`` is
-    the row-major grid of cell values."""
-    for category, line in lines(n):
+def line_level(
+    values: Sequence[int],
+    table: Iterable[tuple[Category, tuple[int, ...]]],
+    target: int,
+) -> Category:
+    """The highest category whose lines in ``table`` all sum to ``target``;
+    ``values`` is the row-major grid of cell values and ``table`` holds
+    lines as ``lines`` does, ascending by category.  A category with no line
+    in the table is reached whenever the ones below it are."""
+    for category, line in table:
         if sum(map(values.__getitem__, line)) != target:
             return Category(category - 1)
     return Category.PANDIAGONAL_MAGIC
@@ -309,7 +315,7 @@ def classify(square: Square) -> ClassificationReport:
     category = Category.NOT_MAGIC
     if constant is not None:
         values = [int(cell) for cell in square.cells()]
-        category = line_level(values, square.order, constant)
+        category = line_level(values, lines(square.order), constant)
     return ClassificationReport(
         order=square.order,
         width=square.width,
@@ -430,11 +436,10 @@ def _from_grid(n: int, cells: Sequence[str], grid: Sequence[int]) -> Square:
     ``f"{x}{y}"`` or through ``palindromic_cells``; ``apply_transform`` takes
     the images of a ``Square``'s cells, which keep the digits and the width.
     """
+    flat = tuple(map(cells.__getitem__, grid))
     square = object.__new__(Square)
     object.__setattr__(
-        square,
-        "rows",
-        tuple(tuple(cells[grid[i * n + j]] for j in range(n)) for i in range(n)),
+        square, "rows", tuple(flat[i : i + n] for i in range(0, n * n, n))
     )
     return square
 

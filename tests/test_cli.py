@@ -252,6 +252,20 @@ def test_search_order5_pandiagonal_universal_dedup(capsys):
         assert captured.err == f"{count} squares\n"
 
 
+def test_search_order5_universal_without_dedup(capsys):
+    # The same queries without --dedup; the streams were frozen in CI
+    # before they ran in the test suite.
+    for expect, count, digest in [
+        ("magic", 57600, "af420b0306c6a254"),
+        ("pandiagonal", 28800, "c3b47db45bdbce5a"),
+    ]:
+        argv = ["search", "--alphabet", "01258", "--expect", expect]
+        assert main([*argv, "--transforms", ALL_TRANSFORMS]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == digest
+        assert captured.err == f"{count} squares\n"
+
+
 # The first two squares over 01258 without mirror-h and digit-reverse, on the
 # direct route; the first magic one is not a Latin pair.
 _ORDER5_HEADS = {

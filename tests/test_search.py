@@ -718,6 +718,41 @@ def test_palindromic_more_cells_than_places(alphabet, width, count):
     assert len(set(concats)) == count
 
 
+# The palindromic streams, frozen as (count, SHA-256 prefix of the
+# newline-joined concatenations) while the kernel still completed every
+# ordering of a first row.
+_PALINDROMIC_STREAMS = {
+    ("125", 3, 3): (72, "700e07c5a55b64fc"),
+    ("128", 3, 3): (72, "348671f23dc35b41"),
+    ("0125", 3, 3): (1152, "31c8580a85d3ea94"),
+    ("01258", 3, 3): (7200, "6479992566197c81"),
+    ("0125", 4, 3): (6912, "43e366eae832f99f"),
+}
+
+
+@pytest.mark.parametrize("query", _PALINDROMIC_STREAMS)
+def test_palindromic_streams_are_frozen(query):
+    concats = [s.concat for s in enumerate_palindromic(*query)]
+    digest = hashlib.sha256("\n".join(concats).encode()).hexdigest()
+    assert (len(concats), digest[:16]) == _PALINDROMIC_STREAMS[query]
+
+
+@pytest.mark.parametrize(
+    "alphabet, calls, solutions", [("125", 84, 12), ("0125", 560, 192)]
+)
+def test_palindromic_completes_each_cell_set_once(
+    kernel_calls, kernel_grids, alphabet, calls, solutions
+):
+    # One call per 3-set of the 9 or 16 cells, on its ascending ordering;
+    # the five other orderings of each set permute its grids' columns.  The
+    # kernel ran 504 and 3,360 times, for 72 and 1,152 grids, when it
+    # completed every ordering.
+    squares = list(enumerate_palindromic(alphabet, 3, 3))
+    assert all(row == tuple(sorted(row)) for row in kernel_calls)
+    assert (len(kernel_calls), sum(kernel_grids)) == (calls, solutions)
+    assert len(squares) == 6 * solutions
+
+
 def test_palindromic_validation(kernel_calls):
     with pytest.raises(ValueError):
         list(enumerate_palindromic(parse_alphabet("125"), 0, 3))

@@ -1,6 +1,7 @@
 """Parsing, classification, transformation and rendering of squares."""
 
 import json
+from itertools import combinations, permutations
 
 import pytest
 
@@ -31,6 +32,8 @@ from segmagic.squares import (
     MAGIC_OTHER_CONSTANT,
     MAGIC_SAME_CONSTANT,
     Verdict,
+    cell_image,
+    line_level,
     lines,
     source_positions,
 )
@@ -258,6 +261,17 @@ def test_classify_semi_but_not_magic_example():
     assert report.constant == 33
 
 
+def test_line_level_checks_only_the_lines_of_its_table():
+    # The diagonals of "11 22 / 22 11" miss 33; without them in the table,
+    # every category is reached.
+    values = [11, 22, 22, 11]
+    diagonals = [(c, line) for c, line in lines(2) if c >= Category.MAGIC]
+    assert line_level(values, lines(2), 33) is Category.SEMI_MAGIC
+    assert line_level(values, diagonals, 33) is Category.SEMI_MAGIC
+    assert line_level(values, lines(2)[:4], 33) is Category.PANDIAGONAL_MAGIC
+    assert line_level(values, (), 0) is Category.PANDIAGONAL_MAGIC
+
+
 def test_small_orders_treat_pandiagonal_as_magic():
     # Below order 3 there are no broken diagonals to test, so a magic square
     # is reported pandiagonal.
@@ -331,6 +345,30 @@ def test_transforms_map_lines_onto_lines_of_their_category(transform, n):
     for category in Category:
         own = {frozenset(line) for c, line in lines(n) if c == category}
         assert {frozenset(src[p] for p in line) for line in own} == own
+
+
+@pytest.mark.parametrize("size", range(2, 6))
+@pytest.mark.parametrize("transform", ATOMIC_TRANSFORMS)
+def test_transforms_sum_alike_along_every_latin_line(transform, size):
+    # A Latin line is n cells whose tens digits and whose units digits are
+    # each a permutation of the alphabet.  A transform maps a cell digit by
+    # digit, at most swapping the places, so an image's cell values sum
+    # alike along every Latin line; the Latin route checks row 0's sum and
+    # then only the diagonals.
+    checked = 0
+    for alphabet in combinations(range(10), size):
+        images = {
+            (x, y): cell_image(f"{x}{y}", transform) for x in alphabet for y in alphabet
+        }
+        if None in images.values():
+            continue  # the search is empty: no square over it has an image
+        sums = {
+            sum(int(images[cell]) for cell in zip(alphabet, units))
+            for units in permutations(alphabet)
+        }
+        assert len(sums) == 1, (alphabet, sums)
+        checked += 1
+    assert checked > 0
 
 
 def test_rot180_equals_mirror_h_after_mirror_v():
