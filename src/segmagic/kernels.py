@@ -18,16 +18,14 @@ from itertools import combinations, permutations
 KERNEL = "pure-python"
 
 
-def product_square_indices(values, row, diagonals=False):
+def product_square_indices(values, row):
     """Enumerate row-major n×n grids of distinct values whose first row is
     ``row`` and whose rows and columns all sum to that row's sum, n being
     ``len(row)``.
 
-    values     at least ``n**2`` ascending distinct integers, checked once
-               per table: the values the cells may take, each used at most once
-    row        the first row: n ≥ 1 distinct indices into ``values``
-    diagonals  keep only the grids whose two main diagonals also sum to
-               the first row's sum
+    values  at least ``n**2`` ascending distinct integers, checked once per
+            table: the values the cells may take, each used at most once
+    row     the first row: n ≥ 1 distinct indices into ``values``
 
     Returns the list of solutions in lexicographic order, each a row-major
     tuple of indices into ``values``.
@@ -46,47 +44,31 @@ def product_square_indices(values, row, diagonals=False):
     if not row or len(set(row)) != n or any(not 0 <= c < m for c in row):
         raise ValueError(f"first row must be distinct indices below {m}")
     sets = _line_sets(vals, n)
-    target = sum(vals[c] for c in row)
-    return _grids(row, sets[target], n, (vals, target) if diagonals else None)
+    return _grids(row, sets[sum(vals[c] for c in row)], n)
 
 
-def _grids(head, sets, n, diagonals):
-    """Every grid with first row ``head``, ascending; with ``diagonals``, a
-    ``(values, target)`` pair, only those whose main diagonals reach the
-    target."""
+def _grids(head, sets, n):
+    """Every grid with first row ``head``, ascending."""
     r0 = _mask(head)
     free = [s for s in sets if not s & r0]
-    # Column j's candidates: the target-sum sets meeting row 0 in head[j] alone.
+    # Column j's candidates: the target-sum sets meeting row 0 in head[j]
+    # alone.  A cell with none has no column through it, so there is no grid.
     # The last column is what the others leave of the rows' union: it meets
     # every row set once and its sum is n * target less theirs.
-    meets = [[s for s in sets if s & r0 == 1 << c] for c in head[:-1]]
-    if diagonals is not None:
-        vector, total = diagonals
-        main, anti = total - vector[head[0]], total - vector[head[-1]]
-
-        def on_diagonals(order):
-            # Grid row i is order[i - 1]: its main-diagonal cell is column i,
-            # its anti-diagonal cell column n - 1 - i.
-            down = up = 0
-            for i, cells in enumerate(order, 1):
-                down += vector[cells[i]]
-                up += vector[cells[-1 - i]]
-            return down == main and up == anti
-
+    meets = [[s for s in sets if s & r0 == 1 << c] for c in head]
+    if not all(meets):
+        return []
     grids = []
     for rows in _disjoint(free, n - 1):
         union = r0 | sum(rows)
         options = [
             [s for s in candidates if _one_each(s, union, rows)]
-            for candidates in meets
+            for candidates in meets[:-1]
         ]
         for cols in _one_of_each(options):
             cols += (union - sum(cols),)
             table = [tuple((r & c).bit_length() - 1 for c in cols) for r in rows]
-            orders = permutations(table)
-            if diagonals is not None:
-                orders = filter(on_diagonals, orders)
-            grids += [sum(order, head) for order in orders]
+            grids += [sum(order, head) for order in permutations(table)]
     grids.sort()
     return grids
 
@@ -134,11 +116,10 @@ def _mask(cells):
 
 
 # A search reads its first rows off this table and then calls the generator
-# over the same values tuple and order: once in all on the Latin route, once
-# per first row on the direct route, and once per first-row cell set in the
-# palindromic search.  The table is built and its values checked once per
-# search.  One entry is kept; every caller shares the same dict and only
-# reads it.
+# over the same values tuple and order: once in all on the Latin route, and
+# once per first-row cell set on the direct route and in the palindromic
+# search.  The table is built and its values checked once per search.  One
+# entry is kept; every caller shares the same dict and only reads it.
 
 
 @lru_cache(maxsize=1)

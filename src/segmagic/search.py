@@ -21,8 +21,12 @@ check stays the exact one.
 
 The kernel completes a first row to the row's own sum, and the search runs
 on one of two routes.  The direct route runs the kernel on the cell values
-once per first row that reaches the magic sum, and the kernel checks the
-diagonals.  The Latin route hands it a key per cell that sums to its
+once per set of n cells that reaches the magic sum, at the set's first
+admissible ordering; permuting a first row's cells permutes the columns of
+its completions, so every other ordering of the set permutes the columns
+of those grids, testing their main diagonals first on a magic or
+pandiagonal query.  The palindromic search completes its first rows the
+same way.  The Latin route hands it a key per cell that sums to its
 target along a line exactly when the line's tens digits and its units
 digits are each a permutation of D, so the kernel enumerates superimposed
 orthogonal Latin pairs.  It runs the kernel once per search, on the
@@ -102,25 +106,26 @@ def enumerate_squares(
     or an unknown transform raises ValueError on the first ``next``, before
     any kernel call.
 
-    The admissible first rows are completed in lexicographic order, and
-    each row's squares are yielded as soon as its grids are known, so the
-    first square waits only for the rows up to its own.  The direct route
-    runs the kernel once per admissible row; the Latin route runs it once,
-    on the canonical row, at the first admissible row, and relabels its
-    grids for each row (see the module docstring).  A row's grids have rows
-    and columns that reach their target on the route the search takes, and
-    from the magic level on main diagonals that reach the magic sum; each
-    is kept when its lines and those of every universality image reach
-    ``requirement`` with the same constant (one ``line_level`` call on the
-    packed values of the module docstring, over the lines up to
+    The admissible first rows are completed in lexicographic order, and each
+    row's squares are yielded as soon as its grids are known, so the first
+    square waits only for the rows up to its own.  The direct route runs the
+    kernel once per cell set, at the set's first admissible row, and
+    permutes the columns of its grids for the set's other rows; the Latin
+    route runs it once, on the canonical row, at the first admissible row,
+    and relabels its grids for each row (see the module docstring).  A row's
+    grids have rows and columns that reach their target on the route the
+    search takes, and from the magic level on main diagonals that reach the
+    magic sum; each is kept when its lines and those of every universality
+    image reach ``requirement`` with the same constant (one ``line_level``
+    call on the packed values of the module docstring, over the lines up to
     ``requirement``, and on the Latin route over their diagonals alone,
-    since row 0 settles the rows and columns there), and (with ``dedup``)
-    no orbit element sorts it lower.  A first row is admissible when it
-    orders one of the kernel's sets of n cells whose keys reach the route's
-    target, the images of those cells under every universality transform
-    reach the magic sum, and (with ``dedup``) no orbit element that maps
-    row 0 onto row 0 sorts it lower; the rows left out hold only squares
-    the filter would drop.  The cells are written from the parsed alphabet, so the
+    since row 0 settles the rows and columns there), and (with ``dedup``) no
+    orbit element sorts it lower.  A first row is admissible when it orders
+    one of the kernel's sets of n cells whose keys reach the route's target,
+    the images of those cells under every universality transform reach the
+    magic sum, and (with ``dedup``) no orbit element that maps row 0 onto
+    row 0 sorts it lower; the rows left out hold only squares the filter
+    would drop.  The cells are written from the parsed alphabet, so the
     squares skip ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
@@ -181,7 +186,7 @@ def enumerate_squares(
     if latin:
         per_row = _latin_grids(rows, n, keys, values, target if magic else None)
     else:
-        per_row = (kernels.product_square_indices(values, row, magic) for row in rows)
+        per_row = _completions(rows, values, target if magic else None)
     for grids in per_row:
         for grid in grids:
             level = line_level([packed[c] for c in grid], table, packed_target)
@@ -267,6 +272,59 @@ def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]
             if both is None or sum(diagonals(lanes)) == both
         ]
         grids.sort()
+        yield grids
+
+
+def _completions(rows, values, target=None) -> Iterator[list[tuple[int, ...]]]:
+    """The kernel's grids of each of ``rows`` in turn, each row's ascending;
+    with ``target``, only those whose main diagonals sum to it in
+    ``values``.
+
+    The rows must ascend.  Permuting a first row's cells permutes the
+    columns of each of its completions, so the kernel completes each cell
+    set once, at its first ordering among ``rows`` (not always the
+    ascending one, which orbit pruning may drop), and every later ordering
+    permutes the columns of those grids, the diagonal cells tested first.
+    Each set's grids are kept as the kernel returned them, an empty list
+    too, until the rows' first cell passes the set's largest cell, after
+    which no ordering of the set can follow.
+    """
+    completed = {}  # ascending cells -> (first ordering, its grids)
+    first = None
+    for row in rows:
+        if row[0] != first:
+            first = row[0]
+            completed = {s: v for s, v in completed.items() if s[-1] >= first}
+        cells = tuple(sorted(row))
+        if cells not in completed:
+            completed[cells] = (row, kernels.product_square_indices(values, row))
+        seen, grids = completed[cells]
+        if not grids:
+            yield grids
+            continue
+        n = len(row)
+        columns = [seen.index(c) for c in row]
+        if target is not None:
+            # Grid row i's main-diagonal cell is its column i, its
+            # anti-diagonal cell its column n - 1 - i.  An itemgetter of one
+            # position returns a bare cell, so order 1, whose one cell is
+            # both diagonals, takes a slice instead.
+            main = [i * n + columns[i] for i in range(n)]
+            anti = [i * n + columns[n - 1 - i] for i in range(n)]
+            if n > 1:
+                main, anti = itemgetter(*main), itemgetter(*anti)
+            else:
+                main = anti = itemgetter(slice(1))
+            value = values.__getitem__
+            grids = [
+                g
+                for g in grids
+                if sum(map(value, main(g))) == target
+                and sum(map(value, anti(g))) == target
+            ]
+        if row != seen:
+            source = [i + j for i in range(0, n * n, n) for j in columns]
+            grids = sorted(tuple(map(g.__getitem__, source)) for g in grids)
         yield grids
 
 
@@ -363,7 +421,8 @@ def enumerate_palindromic(
     the sum, and the first rows come in lexicographic order.  Permuting a
     first row's cells permutes the columns of each of its completions, so
     the kernel runs once per cell set, on its ascending ordering, which
-    comes first; every other ordering permutes the columns of those grids.
+    comes first; every other ordering permutes the columns of those grids,
+    as on the direct route of ``enumerate_squares``.
     An order or a width that is not an ``int`` of at least 1 raises
     ValueError on the first ``next``.
     """
@@ -374,24 +433,6 @@ def enumerate_palindromic(
         raise ValueError(f"order must be an int of at least 1, got {n!r}")
     if len(cells) < n * n:
         return
-    completed = {}  # ascending row -> its grids, while an ordering may follow
-    first = None
-    for row in permutations(range(len(cells)), n):
-        if row[0] != first:
-            first = row[0]
-            completed = {s: g for s, g in completed.items() if s[-1] >= first}
-        ascending = tuple(sorted(row))
-        if row == ascending:
-            grids = kernels.product_square_indices(values, row)
-            if grids:
-                completed[row] = grids
-        elif ascending in completed:
-            columns = [ascending.index(c) for c in row]
-            source = [i + j for i in range(0, n * n, n) for j in columns]
-            grids = sorted(
-                tuple(map(g.__getitem__, source)) for g in completed[ascending]
-            )
-        else:
-            continue
+    for grids in _completions(permutations(range(len(cells)), n), values):
         for grid in grids:
             yield _from_grid(n, cells, grid)

@@ -24,7 +24,7 @@ def load_fixture(name: str) -> Square:
     return parse_square(fixture_path(name).read_text(encoding="utf-8"))
 
 
-def joined_grids(values, order, target, start=(), diagonals=False):
+def joined_grids(values, order, target, start=()):
     """The kernel's grids for every first row that begins with ``start`` and
     sums to ``target``, joined in ascending order of the rows."""
     rest = [i for i in range(len(values)) if i not in start]
@@ -33,7 +33,7 @@ def joined_grids(values, order, target, start=(), diagonals=False):
         grid
         for row in rows
         if sum(values[c] for c in row) == target
-        for grid in kernels.product_square_indices(values, row, diagonals)
+        for grid in kernels.product_square_indices(values, row)
     ]
 
 
@@ -50,9 +50,9 @@ def kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, row, diagonals=False):
+    def recording(values, row):
         calls.append(row)
-        return kernel(values, row, diagonals)
+        return kernel(values, row)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     return calls
@@ -64,8 +64,8 @@ def kernel_grids(kernel_calls, monkeypatch) -> list:
     counts = []
     kernel = kernels.product_square_indices
 
-    def counting(values, row, diagonals=False):
-        grids = kernel(values, row, diagonals)
+    def counting(values, row):
+        grids = kernel(values, row)
         counts.append(len(grids))
         return grids
 

@@ -15,7 +15,7 @@ sets; a change to the search must leave them as they are.
 alphabet at every level with no transforms, and with digit-reverse and
 dedup.  Its counts and digests were taken at commit 30a795a, before the
 kernel's checked and unchecked permutation loops became one.  It takes
-about 8 minutes in one process on a 2-vCPU machine, too long for the test
+about 6 minutes in one process on a 2-vCPU machine, too long for the test
 suite, so it runs as a script, as CI does::
 
     PYTHONPATH=src python tests/test_census.py

@@ -6,7 +6,7 @@ import pytest
 
 from segmagic import kernels
 
-from conftest import diagonals_hit, joined_grids
+from conftest import joined_grids
 
 
 def _values(alphabet):
@@ -24,7 +24,7 @@ def test_solutions_are_valid_grids():
         rows = [sum(grid[r * 3 + c] for c in range(3)) for r in range(3)]
         cols = [sum(grid[r * 3 + c] for r in range(3)) for c in range(3)]
         assert set(rows) == set(cols) == {33}
-        # Without a diagonal check, 8 of the 72 grids hold the diagonals too.
+        # 8 of the 72 grids hold the diagonals too.
         diag = sum(grid[i * 3 + i] for i in range(3))
         anti = sum(grid[i * 3 + 2 - i] for i in range(3))
         magic += diag == anti == 33
@@ -114,33 +114,6 @@ def test_order1():
     # The order and the target come from the row: (0,) is the 1x1 grid of 3.
     assert kernels.product_square_indices(values, (1,)) == [(1,)]
     assert kernels.product_square_indices(values, (0,)) == [(0,)]
-
-
-# (values, order, line target, first cells, grids whose diagonals reach the
-# target too)
-_DIAGONAL_CASES = {
-    "order3": (_values((0, 1, 2)), 3, 33, (), 8),
-    "order3-none-pass": (_values((1, 2, 5)), 3, 88, (), 0),
-    "order4": (_values((1, 2, 5, 8)), 4, 176, (0,), 72),
-}
-
-
-@pytest.mark.parametrize(
-    "values, n, target, start, passed", _DIAGONAL_CASES.values(), ids=_DIAGONAL_CASES
-)
-def test_diagonal_check_filters_the_unchecked_grids(values, n, target, start, passed):
-    unchecked = joined_grids(values, n, target, start)
-    checked = joined_grids(values, n, target, start, True)
-    assert checked == [g for g in unchecked if diagonals_hit(g, values, n, target)]
-    assert len(checked) == passed
-    assert len(unchecked) > passed
-
-
-def test_diagonal_check_order1():
-    values = [3, 5, 7]
-    # One cell is both diagonals and the first row, so it always passes.
-    for c in range(3):
-        assert kernels.product_square_indices(values, (c,), True) == [(c,)]
 
 
 @pytest.mark.parametrize("target", range(3, 16))

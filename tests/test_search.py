@@ -133,9 +133,12 @@ def test_enumeration_is_lazy(kernel_calls):
     # space.  On the Latin route that is one call, the doubled digits
     # (11 22 55 88 over 1258), the least Latin row.  Over 0123 (0+3 = 1+2)
     # the search takes the direct route, whose rows start at 00 01 32 33.
+    # It completes each cell set once: no ordering of 00 01 32 33 has a
+    # magic square, and the first magic one, on 00 02 33 31, permutes the
+    # columns of the grids of 00 02 31 33.
     direct = {
         Category.SEMI_MAGIC: [(0, 1, 14, 15)],
-        Category.MAGIC: [(0, 1, 14, 15), (0, 1, 15, 14), (0, 2, 13, 15), (0, 2, 15, 13)],
+        Category.MAGIC: [(0, 1, 14, 15), (0, 2, 13, 15)],
     }
     for alphabet, requirement in product(
         ("1258", "0125", "0123"), (Category.SEMI_MAGIC, Category.MAGIC)
@@ -407,9 +410,11 @@ def test_first_row_pruning_call_counts(first_rows, kernel_calls, kernel_grids):
     # Every Latin first row (4! * 4!).
     assert counts(enumerate_squares("1258")) == (1152, 576, 1, 12)
     # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5),
-    # runs the kernel on every first row that reaches 154; magic queries get
-    # only grids whose main diagonals reach the magic sum.
-    assert counts(enumerate_squares("1256")) == (4224, 1248, 1248, 4224)
+    # runs the kernel once on each of the 52 cell sets that reach 154, for
+    # 12,816 semi-magic grids; each set's 24 orderings permute their
+    # columns, and a magic query keeps the 4,224 whose main diagonals reach
+    # the magic sum.
+    assert counts(enumerate_squares("1256")) == (4224, 1248, 52, 12816)
     # The order4-latin-jsonl query.
     semi = enumerate_squares("0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True)
     assert counts(semi) == (864, 156, 1, 12)
@@ -439,15 +444,20 @@ def test_order5_first_row_call_counts(
     monkeypatch.setattr(
         kernels,
         "product_square_indices",
-        lambda values, row, diagonals=False: kernel_rows.append(row) or [],
+        lambda values, row: kernel_rows.append(row) or [],
     )
     stream = enumerate_squares("01258", requirement, universality, dedup=dedup)
     assert list(stream) == []
     assert len(first_rows) == calls
     assert first_rows == sorted(first_rows)
     # The Latin route calls the kernel on the canonical row alone, the
-    # direct route on every first row.
-    assert kernel_rows == ([(0, 6, 12, 18, 24)] if universality else first_rows)
+    # direct route once per cell set, on its first ordering among the rows.
+    sets = {}
+    for row in first_rows:
+        sets.setdefault(tuple(sorted(row)), row)
+    expected = [(0, 6, 12, 18, 24)] if universality else list(sets.values())
+    assert kernel_rows == expected
+    assert len(kernel_rows) == (1 if universality else 368)
 
 
 def _latin_keys(n):
@@ -490,6 +500,56 @@ def test_latin_relabelling_equals_the_kernel(kernel_calls, alphabet, rows, per_r
         assert len(grids) == per_row, row
         assert kept == [g for g in expected if diagonals_hit(g, values, n, target)]
     assert sum(map(len, checked)) == magic
+
+
+def _cell_values(alphabet):
+    digits = parse_alphabet(alphabet)
+    return [10 * x + y for x in digits for y in digits]
+
+
+# (values, order, line target, first cells, grids whose diagonals reach the
+# target too)
+_DIAGONAL_CASES = {
+    "order3": (_cell_values("012"), 3, 33, (), 8),
+    "order3-none-pass": (_cell_values("125"), 3, 88, (), 0),
+    "order4": (_cell_values("1258"), 4, 176, (0,), 72),
+    # Every row starts with 12, so a set that also holds 11 is first reached
+    # on an ordering that is not its ascending one.
+    "order4-first-ordering-not-ascending": (_cell_values("1258"), 4, 176, (1,), 72),
+}
+
+
+@pytest.mark.parametrize(
+    "values, n, target, start, passed", _DIAGONAL_CASES.values(), ids=_DIAGONAL_CASES
+)
+def test_diagonal_check_filters_the_unchecked_grids(values, n, target, start, passed):
+    # Each row's completions are the kernel's own grids for that row, and
+    # with the diagonal check those whose main diagonals reach the target,
+    # though the kernel runs once per cell set.
+    rest = [i for i in range(len(values)) if i not in start]
+    rows = [
+        start + tail
+        for tail in permutations(rest, n - len(start))
+        if sum(values[c] for c in start + tail) == target
+    ]
+    unchecked = [kernels.product_square_indices(values, row) for row in rows]
+    assert list(search._completions(iter(rows), values)) == unchecked
+    checked = list(search._completions(iter(rows), values, target))
+    assert checked == [
+        [g for g in grids if diagonals_hit(g, values, n, target)]
+        for grids in unchecked
+    ]
+    assert sum(map(len, checked)) == passed
+    assert sum(map(len, unchecked)) > passed
+
+
+def test_diagonal_check_order1():
+    values = [3, 5, 7]
+    # One cell is both diagonals and the first row, so it passes exactly
+    # when its value is the target.
+    for c in range(3):
+        assert list(search._completions([(c,)], values, values[c])) == [[(c,)]]
+        assert list(search._completions([(c,)], values, 4)) == [[]]
 
 
 # --- Latin pairs -----------------------------------------------------------------
@@ -565,7 +625,7 @@ def _route(alphabet, *query):
     """The route ``enumerate_squares(alphabet, *query)`` takes: "direct"
     when its first kernel call sums the cell values, "latin" otherwise."""
 
-    def first_call(values, row, diagonals=False):
+    def first_call(values, row):
         raise _FirstCall(list(values))
 
     with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstCall) as stop:
@@ -751,6 +811,18 @@ def test_palindromic_completes_each_cell_set_once(
     assert all(row == tuple(sorted(row)) for row in kernel_calls)
     assert (len(kernel_calls), sum(kernel_grids)) == (calls, solutions)
     assert len(squares) == 6 * solutions
+
+
+def test_palindromic_first_square_streams(kernel_calls, kernel_grids):
+    # 64 cells of width 5 over 0125: the kernel rejects a first row when no
+    # target-sum set meets the row in one of its cells alone, before it
+    # combines any row sets, so the first square, on 00000 00100 02220
+    # 12521, comes after 477 calls, the 476 before it finding no grid.
+    first = next(enumerate_palindromic("0125", 4, 5))
+    assert first.rows[0] == ("00000", "00100", "02220", "12521")
+    assert len(kernel_calls) == 477
+    assert kernel_calls[-1] == (0, 1, 10, 27)
+    assert kernel_grids[:-1] == [0] * 476 and kernel_grids[-1] == 12
 
 
 def test_palindromic_validation(kernel_calls):
