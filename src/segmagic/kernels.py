@@ -1,63 +1,60 @@
 """Line-set generator for product-square enumeration.
 
-A grid of distinct cells whose rows and columns all reach the target is two
-families of target-sum index sets: n pairwise disjoint row sets and n
-pairwise disjoint column sets, every row set meeting every column set in
-exactly one cell (the exact-cover view of Knuth, "Dancing Links", 2000).
-The generator chooses sets, held as bitmasks over value indices, instead of
-placing one cell at a time.  Each call completes one given first row, whose
-length is the order and whose sum is every line's target; the searches in
-``search`` choose the first rows.
+A grid of distinct cells whose rows and columns are all lines is two
+families of line sets: n pairwise disjoint row sets and n pairwise disjoint
+column sets, every row set meeting every column set in exactly one cell (the
+exact-cover view of Knuth, "Dancing Links", 2000).  The generator chooses
+sets, held as bitmasks over cell indices, instead of placing one cell at a
+time.  Each call completes one given first row from one given family of
+line sets; the searches in ``search`` choose the first rows and the family:
+the target-sum sets of ``line_sets``, or the transversals of a Latin pair.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, permutations
 
 KERNEL = "pure-python"
 
 
-def product_square_indices(values, row):
-    """Enumerate row-major n×n grids of distinct values whose first row is
-    ``row`` and whose rows and columns all sum to that row's sum, n being
+def product_square_indices(sets, row):
+    """Enumerate row-major n×n grids of distinct cells whose first row is
+    ``row`` and whose rows and columns all come from ``sets``, n being
     ``len(row)``.
 
-    values  at least ``n**2`` ascending distinct integers, checked once per
-            table: the values the cells may take, each used at most once
-    row     the first row: n ≥ 1 distinct indices into ``values``
+    sets    the lines: bitmasks of n cell indices each
+    row     the first row: n ≥ 1 distinct cell indices whose mask is in
+            ``sets``
 
     Returns the list of solutions in lexicographic order, each a row-major
-    tuple of indices into ``values``.
+    tuple of cell indices.
 
-    The other row sets are every ascending combination of ``n - 1``
-    target-sum sets disjoint from the first row and from each other.
-    Column j then takes a target-sum set that meets the first row in cell j
-    alone and every other row set in one cell, the columns pairwise
-    disjoint.  Each ordering of the other row sets gives one grid: cell
-    (i, j) is where row set i meets column set j.  Every grid arises exactly
-    once this way.
+    The other row sets are every ascending combination of ``n - 1`` sets
+    disjoint from the first row and from each other.  Column j then takes a
+    set that meets the first row in cell j alone and every other row set in
+    one cell, the columns pairwise disjoint.  Each ordering of the other row
+    sets gives one grid: cell (i, j) is where row set i meets column set j.
+    Every grid arises exactly once this way.
     """
-    vals = tuple(values)
     row = tuple(row)
-    n, m = len(row), len(vals)
-    if not row or len(set(row)) != n or any(not 0 <= c < m for c in row):
-        raise ValueError(f"first row must be distinct indices below {m}")
-    sets = _line_sets(vals, n)
-    return _grids(row, sets[sum(vals[c] for c in row)], n)
+    n = len(row)
+    if not row or len(set(row)) != n or min(row) < 0 or _mask(row) not in sets:
+        raise ValueError("first row must be distinct cells whose mask is a line")
+    return _grids(row, sets, n)
 
 
 def _grids(head, sets, n):
     """Every grid with first row ``head``, ascending."""
     r0 = _mask(head)
     free = [s for s in sets if not s & r0]
-    # Column j's candidates: the target-sum sets meeting row 0 in head[j]
-    # alone.  A cell with none has no column through it, so there is no grid.
-    # The last column is what the others leave of the rows' union: it meets
-    # every row set once and its sum is n * target less theirs.
+    # Column j's candidates: the sets meeting row 0 in head[j] alone.  A
+    # cell with none has no column through it, so there is no grid.  The
+    # last column is what the others leave of the rows' union: it meets
+    # every row set once, and a grid needs it to be a line too.
     meets = [[s for s in sets if s & r0 == 1 << c] for c in head]
     if not all(meets):
         return []
+    lines = set(meets[-1])
     grids = []
     for rows in _disjoint(free, n - 1):
         union = r0 | sum(rows)
@@ -67,6 +64,8 @@ def _grids(head, sets, n):
         ]
         for cols in _one_of_each(options):
             cols += (union - sum(cols),)
+            if cols[-1] not in lines:
+                continue
             table = [tuple((r & c).bit_length() - 1 for c in cols) for r in rows]
             grids += [sum(order, head) for order in permutations(table)]
     grids.sort()
@@ -115,16 +114,11 @@ def _mask(cells):
     return sum(1 << c for c in cells)
 
 
-# A search reads its first rows off this table and then calls the generator
-# over the same values tuple and order: once in all on the Latin route, and
-# once per first-row cell set on the direct route and in the palindromic
-# search.  The table is built and its values checked once per search.  One
-# entry is kept; every caller shares the same dict and only reads it.
-
-
-@lru_cache(maxsize=1)
-def _line_sets(vals: tuple[int, ...], n: int) -> dict[int, tuple[int, ...]]:
-    """Value sum -> every n-subset of indices with that sum, as bitmasks."""
+def line_sets(values, n: int) -> dict[int, tuple[int, ...]]:
+    """Value sum -> every n-subset of indices into ``values`` with that sum,
+    as bitmasks.  ``values`` must hold at least ``n**2`` ascending distinct
+    integers: the values the cells may take, each used at most once."""
+    vals = tuple(values)
     if len(vals) < n * n:
         raise ValueError(f"need at least {n * n} values, got {len(vals)}")
     if any(a >= b for a, b in zip(vals, vals[1:])):

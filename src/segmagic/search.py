@@ -3,9 +3,9 @@
 A *combination square* over an alphabet D uses every ordered two-digit pair
 of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  ``enumerate_squares``
-takes the admissible first rows from the target-sum sets of the line-set
-generator in ``kernels`` (the kernel), completes them with the kernel, then
-filters complete grids for universality and for orbit-minimality.  One
+takes the admissible first rows from the route's lines (below), completes
+them with the line-set generator in ``kernels`` (the kernel), then filters
+complete grids for universality and for orbit-minimality.  One
 line-sum check covers a grid and all its universality images at once: each
 cell index carries one integer that packs the cell's value and the value of
 its image under each transform, and the packed line sums reach the packed
@@ -19,27 +19,27 @@ pandiagonal query both main diagonals are checked on the cell values
 before the line-sum check, so only magic grids reach it; the line-sum
 check stays the exact one.
 
-The kernel completes a first row to the row's own sum, and the search runs
-on one of two routes.  The direct route runs the kernel on the cell values
-once per set of n cells that reaches the magic sum, at the set's first
-admissible ordering; permuting a first row's cells permutes the columns of
-its completions, so every other ordering of the set permutes the columns
-of those grids, testing their main diagonals first on a magic or
-pandiagonal query.  The palindromic search completes its first rows the
-same way.  The Latin route hands it a key per cell that sums to its
-target along a line exactly when the line's tens digits and its units
-digits are each a permutation of D, so the kernel enumerates superimposed
-orthogonal Latin pairs.  It runs the kernel once per search, on the
-canonical first row of doubled digits (11 22 55 88 over {1,2,5,8}), and
-relabels the tens and the units of those grids to reach every other first
-row, whose completions they are one to one (the isotopy action through
-which Latin squares are counted from reduced forms; McKay, Meynert and
-Myrvold, "Small Latin squares, quasigroups and loops", 2007).  Every such square is semi-magic; the
-converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2, there
-are 353,664 semi-magic squares and only 6,912 of them have Latin digit
-grids.  The search takes the Latin route only where it misses no square, so
-the route changes the speed, never the stream, and the direct route
-everywhere else.  Up to order 4 that is every alphabet in which no two
+The kernel completes a first row from the lines it is given, and the search
+runs on one of two routes.  The direct route's lines are the sets of n cells
+whose values reach the magic sum (``kernels.line_sets``); it runs the
+kernel once per such set, at the set's first admissible ordering; permuting
+a first row's cells permutes the columns of its completions, so every other
+ordering of the set permutes the columns of those grids, testing their main
+diagonals first on a magic or pandiagonal query.  The palindromic search
+completes its first rows the same way.  The Latin route's lines are the
+transversals: the n! sets of n cells that hold each tens digit once and
+each units digit once, so the kernel enumerates superimposed orthogonal
+Latin pairs.  It runs the kernel once per search, on the canonical first row
+of doubled digits (11 22 55 88 over {1,2,5,8}), and relabels the tens and
+the units of those grids to reach every other first row, whose completions
+they are one to one (the isotopy action through which Latin squares are
+counted from reduced forms; McKay, Meynert and Myrvold, "Small Latin
+squares, quasigroups and loops", 2007).  Every such square is semi-magic;
+the converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2,
+there are 353,664 semi-magic squares and only 6,912 of them have Latin
+digit grids.  The search takes the Latin route only where it misses no
+square, so the route changes the speed, never the stream, and the direct
+route everywhere else.  Up to order 4 that is every alphabet in which no two
 pairs of distinct digits have the same sum: both routes were checked to
 give the same squares at the semi-magic and the magic level over every
 alphabet of one to three digits (three distinct digits never collide) and
@@ -121,12 +121,13 @@ def enumerate_squares(
     ``requirement``, and on the Latin route over their diagonals alone,
     since row 0 settles the rows and columns there), and (with ``dedup``) no
     orbit element sorts it lower.  A first row is admissible when it orders
-    one of the kernel's sets of n cells whose keys reach the route's target,
-    the images of those cells under every universality transform reach the
-    magic sum, and (with ``dedup``) no orbit element that maps row 0 onto
-    row 0 sorts it lower; the rows left out hold only squares the filter
-    would drop.  The cells are written from the parsed alphabet, so the
-    squares skip ``Square``'s cell checks.
+    one of the route's lines (the transversals on the Latin route, the sets
+    of n cells that reach the magic sum on the direct one), the images of
+    those cells under every universality transform reach the magic sum, and
+    (with ``dedup``) no orbit element that maps row 0 onto row 0 sorts it
+    lower; the rows left out hold only squares the filter would drop.  The
+    cells are written from the parsed alphabet, so the squares skip
+    ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
     if requirement not in range(Category.SEMI_MAGIC, Category.PANDIAGONAL_MAGIC + 1):
@@ -152,16 +153,14 @@ def enumerate_squares(
         n < 5 or {MIRROR_H, DIGIT_REVERSE} <= set(universality)
     )
     if latin:
-        # The Latin route: cell (a, b) gets key 2**a * 4**n + 2**b.  A sum
-        # of n powers of two is 2**n - 1 only when it holds each power once,
-        # and the units part stays below 4**n, so a line's keys sum to the
-        # target exactly when its tens indices and its units indices are
-        # permutations.  The keys ascend in cell order, so the kernel's
-        # order is the cells' order.
-        keys = [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
-        key_target = (2**n - 1) * (4**n + 1)
+        # Cell a·n + b holds tens index a and units index b, so the
+        # transversal of permutation p holds cells a·n + p[a].
+        sets = [
+            sum(1 << a * n + p[a] for a in range(n)) for p in permutations(range(n))
+        ]
     else:
-        keys, key_target = values, target
+        by_sum = kernels.line_sets(values, n)
+        sets = by_sum[target]
 
     # Every transform maps the lines of each category onto lines of that
     # category, so an image reaches the requirement exactly when its value
@@ -182,11 +181,11 @@ def enumerate_squares(
     packed_target = sum(target << bits * k for k in range(len(lanes)))
 
     magic = requirement >= Category.MAGIC
-    rows = _first_rows(n, keys, key_target, packed, packed_target, values, orbit)
+    rows = _first_rows(n, sets, packed, packed_target, values, orbit)
     if latin:
-        per_row = _latin_grids(rows, n, keys, values, target if magic else None)
+        per_row = _latin_grids(rows, n, sets, values, target if magic else None)
     else:
-        per_row = _completions(rows, values, target if magic else None)
+        per_row = _completions(rows, values, by_sum, target if magic else None)
     for grids in per_row:
         for grid in grids:
             level = line_level([packed[c] for c in grid], table, packed_target)
@@ -208,12 +207,12 @@ def _sorts_lower(cells, values, elements):
     return False
 
 
-def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
+def _first_rows(n, sets, packed, packed_target, values, orbit):
     """The admissible first rows of ``enumerate_squares``, ascending.
 
-    A row is an ordering of one of the target-sum key sets that the kernel
-    caches for the search's own kernel calls.  Every transform maps row 0
-    onto a line made of the images of row 0's cells, so a set is kept only
+    A row is an ordering of one of ``sets``, the route's lines, which the
+    search hands the kernel too.  Every transform maps row 0 onto a line
+    made of the images of row 0's cells, so a set is kept only
     when every lane of its packed values reaches the magic sum: the
     universality images of every ordering then do too.  An orbit element
     whose image row 0 comes from row 0 and is below it lexicographically
@@ -221,12 +220,9 @@ def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
     grid filter's orbit test, ``_sorts_lower``, finds such rows.  Each set's
     orderings come out ascending, as its cells ascend, merged as needed.
     """
-    sets = (
-        [c for c in range(len(keys)) if mask >> c & 1]
-        for mask in kernels._line_sets(tuple(keys), n)[key_target]
-    )
+    cells = ([c for c in range(len(values)) if mask >> c & 1] for mask in sets)
     orderings = [
-        permutations(s) for s in sets if sum(packed[c] for c in s) == packed_target
+        permutations(s) for s in cells if sum(packed[c] for c in s) == packed_target
     ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
     for row in merge(*orderings):
@@ -234,7 +230,7 @@ def _first_rows(n, keys, key_target, packed, packed_target, values, orbit):
             yield row
 
 
-def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]]]:
+def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]]]:
     """The Latin grids of each of ``rows`` in turn, each row's ascending;
     with ``target``, only those whose main diagonals sum to it in
     ``values``.
@@ -243,9 +239,10 @@ def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]
     the tens by σ and the units by τ maps orthogonal Latin pairs onto
     orthogonal Latin pairs, so with σ(j) = a_j and τ(j) = b_j it maps the
     completions of the canonical row (j, j) one to one onto those of the
-    row with cells (a_j, b_j).  The kernel completes the canonical row once,
-    at the first row, and never if there is none; its grids are then
-    relabelled for every row, the diagonal cells tested first.
+    row with cells (a_j, b_j).  The kernel completes the canonical row from
+    ``sets``, the transversals, once, at the first row, and never if there
+    is none; its grids are then relabelled for every row, the diagonal cells
+    tested first.
     """
     size = n * n
     main = range(0, size, n + 1)
@@ -260,7 +257,7 @@ def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]
     for row in rows:
         if canonical is None:
             canonical = []
-            for grid in kernels.product_square_indices(keys, tuple(main)):
+            for grid in kernels.product_square_indices(sets, tuple(main)):
                 diagonals = [grid[p] for p in main] + [size + grid[p] for p in anti]
                 canonical.append((grid, itemgetter(*diagonals)))
         table = [a // n * n + b % n for a in row for b in row]
@@ -275,10 +272,11 @@ def _latin_grids(rows, n, keys, values, target) -> Iterator[list[tuple[int, ...]
         yield grids
 
 
-def _completions(rows, values, target=None) -> Iterator[list[tuple[int, ...]]]:
-    """The kernel's grids of each of ``rows`` in turn, each row's ascending;
-    with ``target``, only those whose main diagonals sum to it in
-    ``values``.
+def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, ...]]]:
+    """The kernel's grids of each of ``rows`` in turn, over the lines of
+    ``by_sum`` (``kernels.line_sets`` of ``values``) that reach the row's
+    sum, each row's ascending; with ``target``, only those whose main
+    diagonals sum to it in ``values``.
 
     The rows must ascend.  Permuting a first row's cells permutes the
     columns of each of its completions, so the kernel completes each cell
@@ -297,7 +295,8 @@ def _completions(rows, values, target=None) -> Iterator[list[tuple[int, ...]]]:
             completed = {s: v for s, v in completed.items() if s[-1] >= first}
         cells = tuple(sorted(row))
         if cells not in completed:
-            completed[cells] = (row, kernels.product_square_indices(values, row))
+            sets = by_sum[sum(values[c] for c in row)]
+            completed[cells] = (row, kernels.product_square_indices(sets, row))
         seen, grids = completed[cells]
         if not grids:
             yield grids
@@ -433,6 +432,7 @@ def enumerate_palindromic(
         raise ValueError(f"order must be an int of at least 1, got {n!r}")
     if len(cells) < n * n:
         return
-    for grids in _completions(permutations(range(len(cells)), n), values):
+    rows = permutations(range(len(cells)), n)
+    for grids in _completions(rows, values, kernels.line_sets(values, n)):
         for grid in grids:
             yield _from_grid(n, cells, grid)

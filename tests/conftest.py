@@ -29,12 +29,19 @@ def joined_grids(values, order, target, start=()):
     sums to ``target``, joined in ascending order of the rows."""
     rest = [i for i in range(len(values)) if i not in start]
     rows = (start + tail for tail in permutations(rest, order - len(start)))
+    sets = kernels.line_sets(values, order).get(target, ())
     return [
         grid
         for row in rows
         if sum(values[c] for c in row) == target
-        for grid in kernels.product_square_indices(values, row)
+        for grid in kernels.product_square_indices(sets, row)
     ]
+
+
+def transversals(n):
+    """The Latin route's lines: the n! masks of the n cells a·n + b that hold
+    each a once and each b once."""
+    return [sum(1 << a * n + p[a] for a in range(n)) for p in permutations(range(n))]
 
 
 def diagonals_hit(grid, values, n, target):
@@ -50,9 +57,9 @@ def kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(values, row):
+    def recording(sets, row):
         calls.append(row)
-        return kernel(values, row)
+        return kernel(sets, row)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     return calls
@@ -64,8 +71,8 @@ def kernel_grids(kernel_calls, monkeypatch) -> list:
     counts = []
     kernel = kernels.product_square_indices
 
-    def counting(values, row):
-        grids = kernel(values, row)
+    def counting(sets, row):
+        grids = kernel(sets, row)
         counts.append(len(grids))
         return grids
 

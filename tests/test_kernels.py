@@ -1,16 +1,25 @@
 """The line-set generator: validation, ordering, first rows, counts."""
 
-from itertools import permutations, product
+import random
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
 from segmagic import kernels
 
-from conftest import joined_grids
+from conftest import joined_grids, transversals
 
 
 def _values(alphabet):
     return sorted(10 * a + b for a, b in product(alphabet, repeat=2))
+
+
+def _complete(values, row):
+    """The kernel's grids for ``row`` over the lines of ``values`` that reach
+    the row's sum."""
+    sets = kernels.line_sets(values, len(row))[sum(values[c] for c in row)]
+    return kernels.product_square_indices(sets, row)
 
 
 def test_solutions_are_valid_grids():
@@ -51,31 +60,29 @@ def test_kernel_chooses_from_more_values_than_cells(target):
 def test_kernel_validation():
     good = _values((0, 1, 2))
     row = (0, 4, 8)  # 00 11 22, which reaches 33
-    assert kernels.product_square_indices(good, row)
+    assert _complete(good, row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good[:5], row)
+        _complete(good[:5], row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices(sorted(good, reverse=True), row)
+        _complete(sorted(good, reverse=True), row)
     with pytest.raises(ValueError):
-        kernels.product_square_indices([1] * 9, row)
+        _complete([1] * 9, row)
+    sets = kernels.line_sets(good, 3)[33]
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, (1, 1, 2))
+        kernels.product_square_indices(sets, (1, 1, 2))
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, (0, 4, 99))
+        kernels.product_square_indices(sets, (0, 4, 99))
     with pytest.raises(ValueError):
-        kernels.product_square_indices(good, ())
+        kernels.product_square_indices(sets, ())
 
 
-def test_bad_row_raises_before_the_table_is_built():
-    # The values are checked when their table is built; a bad first row
-    # fails first, so it neither enumerates C(100, 10) index sets nor takes
-    # the cache's one slot from a search's table.
-    kernels._line_sets(tuple(_values((0, 1, 2))), 3)
-    misses = kernels._line_sets.cache_info().misses
-    for row in [(0,) * 10, (0, 1, 100), ()]:
+def test_bad_row_raises():
+    # The kernel checks only its first row: repeated cells, an empty row, a
+    # negative cell and rows whose mask is not one of the lines.
+    sets = kernels.line_sets(_values((0, 1, 2)), 3)[33]
+    for row in [(0, 0, 8), (0,) * 10, (), (-1, 4, 8), (0, 1, 2), (0, 4, 100)]:
         with pytest.raises(ValueError, match="first row must be distinct"):
-            kernels.product_square_indices(range(100), row)
-    assert kernels._line_sets.cache_info().misses == misses
+            kernels.product_square_indices(sets, row)
 
 
 def test_kernel_where_latin_route_is_no_oracle():
@@ -86,6 +93,10 @@ def test_kernel_where_latin_route_is_no_oracle():
     assert len(grids) == 22104
     assert grids == sorted(grids)
     assert all(grid[0] == 0 for grid in grids)
+
+
+# The rows, then the columns, of a 3×3 grid, as row-major positions.
+_LINES_3 = [range(r, r + 3) for r in (0, 3, 6)] + [range(c, 9, 3) for c in range(3)]
 
 
 def _line_sums_hit(grid, values, n, target):
@@ -112,8 +123,27 @@ def test_order1():
     assert joined_grids(values, 1, 5) == [(1,)]
     assert joined_grids(values, 1, 4) == []
     # The order and the target come from the row: (0,) is the 1x1 grid of 3.
-    assert kernels.product_square_indices(values, (1,)) == [(1,)]
-    assert kernels.product_square_indices(values, (0,)) == [(0,)]
+    assert _complete(values, (1,)) == [(1,)]
+    assert _complete(values, (0,)) == [(0,)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_order3_any_family_matches_brute_force(seed):
+    # For a family of 3-cell lines that no sum or Latin pair defines, the
+    # grids are still exactly those whose rows and columns are all lines:
+    # the last column, which the others leave, must be one too.
+    family = [sum(1 << c for c in s) for s in combinations(range(9), 3)]
+    sets = random.Random(seed).sample(family, 40)
+    for mask in sets:
+        row = tuple(c for c in range(9) if mask >> c & 1)
+        rest = [c for c in range(9) if not mask >> c & 1]
+        grids = (row + tail for tail in permutations(rest))
+        brute = [
+            g
+            for g in grids
+            if all(sum(1 << g[p] for p in line) in sets for line in _LINES_3)
+        ]
+        assert kernels.product_square_indices(sets, row) == brute
 
 
 @pytest.mark.parametrize("target", range(3, 16))
@@ -126,20 +156,35 @@ def test_order2_has_no_grid_of_distinct_cells(target):
     )
 
 
-def test_order5_latin_first_row():
-    # Keys 2**a * 4**n + 2**b hit the target along a line exactly when its
-    # tens and units indices are permutations (see search.enumerate_squares).
-    n = 5
+@pytest.mark.parametrize("n", range(1, 6))
+def test_transversals_are_the_key_sum_lines(n):
+    # Cell a·n + b with key 2**a * 4**n + 2**b: a sum of n powers of two is
+    # 2**n - 1 only when it holds each power once, and the units part stays
+    # below 4**n, so a line's keys reach (2**n - 1) * (4**n + 1) exactly when
+    # its a's and its b's are permutations.  Summing values, the kernel's
+    # other line family, finds the transversals the Latin route builds.
     keys = [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
-    target = (2**n - 1) * (4**n + 1)
+    lines = kernels.line_sets(keys, n)[(2**n - 1) * (4**n + 1)]
+    latin = transversals(n)
+    assert len(set(latin)) == factorial(n)
+    assert sorted(lines) == sorted(latin)
+
+
+def test_order5_latin_first_row():
+    # With the transversals as lines, every row and column holds each tens
+    # index a and each units index b of its cells a·n + b once.
+    n = 5
     head = (0, 6, 12, 18, 24)
-    assert sum(keys[c] for c in head) == target
-    grids = kernels.product_square_indices(keys, head)
+    grids = kernels.product_square_indices(transversals(n), head)
     assert len(grids) == 432
     assert grids == sorted(grids)
+    lines = [range(r * n, r * n + n) for r in range(n)]
+    lines += [range(c, n * n, n) for c in range(n)]
     for grid in grids:
         assert grid[:n] == head and len(set(grid)) == n * n
-        assert _line_sums_hit(grid, keys, n, target)
+        for line in lines:
+            assert {grid[p] // n for p in line} == set(range(n))
+            assert {grid[p] % n for p in line} == set(range(n))
 
 
 def test_order5_direct_first_row():
@@ -148,7 +193,7 @@ def test_order5_direct_first_row():
     values = _values((0, 1, 2, 5, 8))
     head = (0, 6, 12, 18, 24)
     assert [values[c] for c in head] == [0, 11, 22, 55, 88]
-    grids = kernels.product_square_indices(values, head)
+    grids = _complete(values, head)
     assert len(grids) == 5640
     assert grids == sorted(grids)
     for grid in grids:

@@ -30,7 +30,7 @@ from segmagic.dates import scan
 from segmagic.search import LatinPairError
 from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError, _step
 
-from conftest import diagonals_hit, joined_grids, load_fixture
+from conftest import diagonals_hit, joined_grids, load_fixture, transversals
 
 
 # --- alphabets and constants --------------------------------------------------
@@ -278,12 +278,12 @@ def test_first_row_pruning_is_exact(alphabet):
     assert [s.concat for s in found] == expected
 
 
-def _scanned_first_rows(n, keys, key_target, values, target, images, orbit):
-    """The admissible first rows found by scanning: every (n-1)-permutation
-    of the cells, the last cell forced by the key sum, the sum of every
-    universality image's row that comes from row 0, and the orbit elements
-    that map row 0 onto row 0."""
-    index = {k: c for c, k in enumerate(keys)}
+def _scanned_first_rows(n, sets, values, target, images, orbit):
+    """The admissible first rows found by scanning: every n-permutation of
+    the cells, kept when its cells are one of the lines ``sets``, by the sum
+    of every universality image's row that comes from row 0, and by the
+    orbit elements that map row 0 onto row 0."""
+    lines = set(sets)
     sums = [
         (src[r * n : r * n + n], image)
         for src, image in images
@@ -291,11 +291,9 @@ def _scanned_first_rows(n, keys, key_target, values, target, images, orbit):
         if max(src[r * n : r * n + n]) < n
     ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
-    for head in permutations(range(len(keys)), n - 1):
-        last = index.get(key_target - sum(keys[c] for c in head))
-        if last is None or last in head:
+    for row in permutations(range(len(values)), n):
+        if sum(1 << c for c in row) not in lines:
             continue
-        row = head + (last,)
         if any(sum(image[row[s]] for s in src) != target for src, image in sums):
             continue
         key = [values[c] for c in row]
@@ -341,12 +339,10 @@ def test_first_rows_equal_the_scan(monkeypatch, alphabets):
             assert calls == [], case  # no square over the alphabet has an image
             continue
         (args,) = calls
-        n, keys, key_target, _, _, values, orbit = args
+        n, sets, _, _, values, orbit = args
         images = [(src, [int(c) for c in image]) for src, image in steps]
         expected = list(
-            _scanned_first_rows(
-                n, keys, key_target, values, magic_sum(digits), images, orbit
-            )
+            _scanned_first_rows(n, sets, values, magic_sum(digits), images, orbit)
         )
         assert list(generate(*args)) == expected, case
 
@@ -444,7 +440,7 @@ def test_order5_first_row_call_counts(
     monkeypatch.setattr(
         kernels,
         "product_square_indices",
-        lambda values, row: kernel_rows.append(row) or [],
+        lambda sets, row: kernel_rows.append(row) or [],
     )
     stream = enumerate_squares("01258", requirement, universality, dedup=dedup)
     assert list(stream) == []
@@ -458,10 +454,6 @@ def test_order5_first_row_call_counts(
     expected = [(0, 6, 12, 18, 24)] if universality else list(sets.values())
     assert kernel_rows == expected
     assert len(kernel_rows) == (1 if universality else 368)
-
-
-def _latin_keys(n):
-    return [2**a * 4**n + 2**b for a in range(n) for b in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -481,7 +473,7 @@ def test_latin_relabelling_equals_the_kernel(kernel_calls, alphabet, rows, per_r
     # the magic sum in cell values.
     digits = parse_alphabet(alphabet)
     n = len(digits)
-    keys = _latin_keys(n)
+    sets = transversals(n)
     values = [10 * x + y for x in digits for y in digits]
     target = magic_sum(digits)
     if rows is None:
@@ -490,12 +482,12 @@ def test_latin_relabelling_equals_the_kernel(kernel_calls, alphabet, rows, per_r
             for tens in permutations(range(n))
             for units in permutations(range(n))
         )
-    relabelled = list(search._latin_grids(iter(rows), n, keys, values, None))
-    checked = list(search._latin_grids(iter(rows), n, keys, values, target))
+    relabelled = list(search._latin_grids(iter(rows), n, sets, values, None))
+    checked = list(search._latin_grids(iter(rows), n, sets, values, target))
     assert kernel_calls == [tuple(range(0, n * n, n + 1))] * 2
     assert len(relabelled) == len(checked) == len(rows)
     for row, grids, kept in zip(rows, relabelled, checked):
-        expected = kernels.product_square_indices(keys, row)
+        expected = kernels.product_square_indices(sets, row)
         assert grids == expected, row
         assert len(grids) == per_row, row
         assert kept == [g for g in expected if diagonals_hit(g, values, n, target)]
@@ -532,9 +524,10 @@ def test_diagonal_check_filters_the_unchecked_grids(values, n, target, start, pa
         for tail in permutations(rest, n - len(start))
         if sum(values[c] for c in start + tail) == target
     ]
-    unchecked = [kernels.product_square_indices(values, row) for row in rows]
-    assert list(search._completions(iter(rows), values)) == unchecked
-    checked = list(search._completions(iter(rows), values, target))
+    by_sum = kernels.line_sets(values, n)
+    unchecked = [kernels.product_square_indices(by_sum[target], row) for row in rows]
+    assert list(search._completions(iter(rows), values, by_sum)) == unchecked
+    checked = list(search._completions(iter(rows), values, by_sum, target))
     assert checked == [
         [g for g in grids if diagonals_hit(g, values, n, target)]
         for grids in unchecked
@@ -547,9 +540,11 @@ def test_diagonal_check_order1():
     values = [3, 5, 7]
     # One cell is both diagonals and the first row, so it passes exactly
     # when its value is the target.
+    by_sum = kernels.line_sets(values, 1)
     for c in range(3):
-        assert list(search._completions([(c,)], values, values[c])) == [[(c,)]]
-        assert list(search._completions([(c,)], values, 4)) == [[]]
+        rows = [(c,)]
+        assert list(search._completions(rows, values, by_sum, values[c])) == [rows]
+        assert list(search._completions(rows, values, by_sum, 4)) == [[]]
 
 
 # --- Latin pairs -----------------------------------------------------------------
@@ -622,18 +617,17 @@ class _FirstCall(Exception):
 
 
 def _route(alphabet, *query):
-    """The route ``enumerate_squares(alphabet, *query)`` takes: "direct"
-    when its first kernel call sums the cell values, "latin" otherwise."""
+    """The route ``enumerate_squares(alphabet, *query)`` takes: "latin"
+    when its first kernel call gets the transversals, "direct" otherwise."""
 
-    def first_call(values, row):
-        raise _FirstCall(list(values))
+    def first_call(sets, row):
+        raise _FirstCall(sorted(sets))
 
     with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstCall) as stop:
         patch.setattr(kernels, "product_square_indices", first_call)
         next(enumerate_squares(alphabet, *query))
-    digits = parse_alphabet(alphabet)
-    cell_values = [10 * x + y for x in digits for y in digits]
-    return "direct" if stop.value.args[0] == cell_values else "latin"
+    n = len(parse_alphabet(alphabet))
+    return "latin" if stop.value.args[0] == sorted(transversals(n)) else "direct"
 
 
 # The direct route's streams, frozen as (count, SHA-256 of the newline-joined
@@ -709,6 +703,19 @@ def test_via_latin_order5_needs_mirror_h_and_digit_reverse(requirement, universa
     assert _route("01258", requirement, universality) == "direct"
     both = universality + ("mirror-h", "digit-reverse")
     assert _route("01258", requirement, both) == "latin"
+
+
+def test_latin_route_builds_no_value_lines(monkeypatch):
+    # The Latin route's lines are the transversals alone: it never sums the
+    # cell values into target-sum sets.
+    def refuse(values, n):
+        raise AssertionError("the Latin route built value-sum lines")
+
+    monkeypatch.setattr(kernels, "line_sets", refuse)
+    assert sum(1 for _ in enumerate_squares("1258", Category.MAGIC)) == 1152
+    universality = ("mirror-h", "digit-reverse")
+    stream = enumerate_squares("01258", Category.MAGIC, universality, dedup=True)
+    assert sum(1 for _ in stream) == 14520
 
 
 def test_order5_latin_route_stream_starts_lexicographically():
