@@ -5,19 +5,18 @@ of D exactly once as a cell; its semi-magic constant is forced to 11 * sum(D)
 (tens contribute ten times the digit sum, units once).  ``enumerate_squares``
 takes the admissible first rows from the route's lines (below), completes
 them with the line-set generator in ``kernels`` (the kernel), then filters
-complete grids for universality and for orbit-minimality.  One
-line-sum check covers a grid and all its universality images at once: each
-cell index carries one integer that packs the cell's value and the value of
-its image under each transform, and the packed line sums reach the packed
-target exactly when every lane reaches the magic sum.  The same packed sum
-over a first row's cells prunes the rows, since every transform maps row 0
-onto a line.  The check reads only the lines up to the query's level, and
-on the Latin route (below) only the diagonals among them: there every row
-and column holds each tens digit once and each units digit once, so each
-lane sums alike along all of them, to its sum along row 0.  For a magic or
-pandiagonal query both main diagonals are checked on the cell values
-before the line-sum check, so only magic grids reach it; the line-sum
-check stays the exact one.
+complete grids for universality and for orbit-minimality.  One line-sum
+check covers a grid and all its universality images at once: each cell
+index carries one integer that packs the cell's value and the value of its
+image under each transform, and the packed line sums reach the packed
+target exactly when every lane reaches the magic sum.  Every transform maps
+rows and columns onto rows and columns, so a set of cells can be a row or a
+column of a kept square only if its packed sum reaches the packed target:
+the kernel gets only the route's lines that do, and the grids' rows and
+columns need no further check.  The check on each grid reads only its
+diagonals up to the query's level.  For a magic or pandiagonal query both
+main diagonals are checked on the cell values before the line-sum check, so
+only magic grids reach it; the line-sum check stays the exact one.
 
 The kernel completes a first row from the lines it is given, and the search
 runs on one of two routes.  The direct route's lines are the sets of n cells
@@ -112,21 +111,21 @@ def enumerate_squares(
     kernel once per cell set, at the set's first admissible row, and
     permutes the columns of its grids for the set's other rows; the Latin
     route runs it once, on the canonical row, at the first admissible row,
-    and relabels its grids for each row (see the module docstring).  A row's
-    grids have rows and columns that reach their target on the route the
-    search takes, and from the magic level on main diagonals that reach the
-    magic sum; each is kept when its lines and those of every universality
-    image reach ``requirement`` with the same constant (one ``line_level``
-    call on the packed values of the module docstring, over the lines up to
-    ``requirement``, and on the Latin route over their diagonals alone,
-    since row 0 settles the rows and columns there), and (with ``dedup``) no
-    orbit element sorts it lower.  A first row is admissible when it orders
-    one of the route's lines (the transversals on the Latin route, the sets
-    of n cells that reach the magic sum on the direct one), the images of
-    those cells under every universality transform reach the magic sum, and
-    (with ``dedup``) no orbit element that maps row 0 onto row 0 sorts it
-    lower; the rows left out hold only squares the filter would drop.  The
-    cells are written from the parsed alphabet, so the squares skip
+    and relabels its grids for each row (see the module docstring).  The
+    kernel gets only the route's lines (the transversals on the Latin route,
+    the sets of n cells that reach the magic sum on the direct one) whose
+    cells' images under every universality transform reach the magic sum
+    too: every transform maps rows and columns onto rows and columns, so no
+    other line can be a row or a column of a kept square.  A row's grids
+    have rows and columns made of those lines, and from the magic level on
+    main diagonals that reach the magic sum; each is kept when its diagonals
+    up to ``requirement`` and those of every universality image reach the
+    magic sum (one ``line_level`` call on the packed values of the module
+    docstring), and (with ``dedup``) no orbit element sorts it lower.  A
+    first row is admissible when it orders one of those lines and (with
+    ``dedup``) no orbit element that maps row 0 onto row 0 sorts it lower;
+    the rows left out hold only squares the filter would drop.  The cells
+    are written from the parsed alphabet, so the squares skip
     ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
@@ -152,26 +151,15 @@ def enumerate_squares(
     latin = len(set(pair_sums)) == len(pair_sums) and (
         n < 5 or {MIRROR_H, DIGIT_REVERSE} <= set(universality)
     )
-    if latin:
-        # Cell a·n + b holds tens index a and units index b, so the
-        # transversal of permutation p holds cells a·n + p[a].
-        sets = [
-            sum(1 << a * n + p[a] for a in range(n)) for p in permutations(range(n))
-        ]
-    else:
-        by_sum = kernels.line_sets(values, n)
-        sets = by_sum[target]
 
     # Every transform maps the lines of each category onto lines of that
     # category, so an image reaches the requirement exactly when its value
     # lane does on the grid's own lines.  One integer per cell holds every
     # lane, each in a field wide enough that no line sum or target carries
-    # into the next, so one line_level call checks the grid and its images,
-    # on the lines up to the requirement.  On the Latin route row 0's packed
-    # sum, which _first_rows checks, settles the rows and columns (see the
-    # module docstring), so only the diagonals are left.
-    lowest = Category.MAGIC if latin else Category.SEMI_MAGIC
-    table = [(c, line) for c, line in lines(n) if lowest <= c <= requirement]
+    # into the next, so one packed sum checks a line of the grid and of its
+    # images.  The kernel gets only the route's lines whose packed sum
+    # reaches the target, which settles every row and column; line_level
+    # checks the diagonals up to the requirement.
     lanes = [values] + [[int(c) for c in image] for _, image in steps]
     bits = max(n * max(map(max, lanes)), target).bit_length()
     packed = [
@@ -179,13 +167,27 @@ def enumerate_squares(
         for c in range(n * n)
     ]
     packed_target = sum(target << bits * k for k in range(len(lanes)))
+    if latin:
+        # Cell a·n + b holds tens index a and units index b, so the
+        # transversal of permutation p holds cells a·n + p[a].
+        route = [
+            sum(1 << a * n + p[a] for a in range(n)) for p in permutations(range(n))
+        ]
+    else:
+        route = kernels.line_sets(values, n)[target]
+    sets = [
+        mask
+        for mask in route
+        if sum(packed[c] for c in range(n * n) if mask >> c & 1) == packed_target
+    ]
+    table = [(c, line) for c, line in lines(n) if Category.MAGIC <= c <= requirement]
 
     magic = requirement >= Category.MAGIC
-    rows = _first_rows(n, sets, packed, packed_target, values, orbit)
+    rows = _first_rows(n, sets, values, orbit)
     if latin:
         per_row = _latin_grids(rows, n, sets, values, target if magic else None)
     else:
-        per_row = _completions(rows, values, by_sum, target if magic else None)
+        per_row = _completions(rows, values, {target: sets}, target if magic else None)
     for grids in per_row:
         for grid in grids:
             level = line_level([packed[c] for c in grid], table, packed_target)
@@ -207,25 +209,19 @@ def _sorts_lower(cells, values, elements):
     return False
 
 
-def _first_rows(n, sets, packed, packed_target, values, orbit):
+def _first_rows(n, sets, values, orbit):
     """The admissible first rows of ``enumerate_squares``, ascending.
 
-    A row is an ordering of one of ``sets``, the route's lines, which the
-    search hands the kernel too.  Every transform maps row 0 onto a line
-    made of the images of row 0's cells, so a set is kept only
-    when every lane of its packed values reaches the magic sum: the
-    universality images of every ordering then do too.  An orbit element
-    whose image row 0 comes from row 0 and is below it lexicographically
-    puts the whole image below the square, which dedup would then drop; the
-    grid filter's orbit test, ``_sorts_lower``, finds such rows.  Each set's
-    orderings come out ascending, as its cells ascend, merged as needed.
+    A row is an ordering of one of ``sets``, the lines the search hands the
+    kernel too.  An orbit element whose image row 0 comes from row 0 and is
+    below it lexicographically puts the whole image below the square, which
+    dedup would then drop; the grid filter's orbit test, ``_sorts_lower``,
+    finds such rows.  Each set's orderings come out ascending, as its cells
+    ascend, merged as needed.
     """
     cells = ([c for c in range(len(values)) if mask >> c & 1] for mask in sets)
-    orderings = [
-        permutations(s) for s in cells if sum(packed[c] for c in s) == packed_target
-    ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
-    for row in merge(*orderings):
+    for row in merge(*map(permutations, cells)):
         if not _sorts_lower(row, values, mins):
             yield row
 

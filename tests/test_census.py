@@ -11,6 +11,13 @@ four transforms and dedup.  The counts and digests were taken at commit
 1273a57, before the search read its first rows off the kernel's target-sum
 sets; a change to the search must leave them as they are.
 
+``census_single.txt``, in the same format, holds direct-route queries that
+neither file above has: every 4-digit alphabet in which two pairs of
+distinct digits have the same sum (50 alphabets), at the semi-magic and the
+magic level, with rot180, mirror-h or mirror-v alone and without dedup.
+Its counts and digests were taken at commit 38f5dcf, before the kernel got
+only the lines that reach the constant in every universality image.
+
 ``census_ci.txt``, in the same format, holds the slow half: every 4-digit
 alphabet at every level with no transforms, and with digit-reverse and
 dedup.  Its counts and digests were taken at commit 30a795a, before the
@@ -29,6 +36,7 @@ from segmagic import Category, enumerate_squares
 
 CENSUS = Path(__file__).resolve().parent / "census.txt"
 CENSUS_CI = CENSUS.with_name("census_ci.txt")
+CENSUS_SINGLE = CENSUS.with_name("census_single.txt")
 
 LEVELS = {
     "semi": Category.SEMI_MAGIC,
@@ -70,6 +78,17 @@ def test_census():
     lines = read_census(CENSUS)
     assert len(lines) == 1710
     assert sum(int(fields[4]) for fields in lines) == 16272
+    assert mismatches(lines) == []
+
+
+def test_single_transform_census():
+    lines = read_census(CENSUS_SINGLE)
+    assert len(lines) == 300
+    assert len({fields[0] for fields in lines}) == 50
+    squares = {"semi": 0, "magic": 0}
+    for fields in lines:
+        squares[fields[1]] += int(fields[4])
+    assert squares == {"semi": 13824, "magic": 2304}
     assert mismatches(lines) == []
 
 

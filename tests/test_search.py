@@ -28,7 +28,7 @@ from segmagic import (
 )
 from segmagic.dates import scan
 from segmagic.search import LatinPairError
-from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError, _step
+from segmagic.squares import MAGIC_SAME_CONSTANT, InvalidDigitError, _step, cell_image
 
 from conftest import diagonals_hit, joined_grids, load_fixture, transversals
 
@@ -311,17 +311,17 @@ _ROW_TRANSFORMS = [
 
 
 @pytest.mark.parametrize(
-    "alphabets",
+    "alphabets, latin",
     [
-        ["".join(c) for c in combinations("0123456789", 3)],
-        ["1258", "0125"],  # the Latin route
-        ["1256", "0123"],  # the direct route
+        (["".join(c) for c in combinations("0123456789", 3)], True),
+        (["1258", "0125"], True),
+        (["1256", "0123"], False),
     ],
     ids=["order3", "order4-latin", "order4-direct"],
 )
-def test_first_rows_equal_the_scan(monkeypatch, alphabets):
-    # The search's first rows, read off the kernel's target-sum sets, are
-    # the rows the scan finds, in the same order.
+def test_first_rows_equal_the_scan(monkeypatch, alphabets, latin):
+    # The search's first rows, read off the lines it hands the kernel, are
+    # the rows the scan finds over all the route's lines, in the same order.
     generate = search._first_rows
     calls = []
     monkeypatch.setattr(search, "_first_rows", lambda *args: calls.append(args) or ())
@@ -339,11 +339,11 @@ def test_first_rows_equal_the_scan(monkeypatch, alphabets):
             assert calls == [], case  # no square over the alphabet has an image
             continue
         (args,) = calls
-        n, sets, _, _, values, orbit = args
+        n, _, values, orbit = args
+        target = magic_sum(digits)
+        lines = transversals(n) if latin else kernels.line_sets(values, n)[target]
         images = [(src, [int(c) for c in image]) for src, image in steps]
-        expected = list(
-            _scanned_first_rows(n, sets, values, magic_sum(digits), images, orbit)
-        )
+        expected = list(_scanned_first_rows(n, lines, values, target, images, orbit))
         assert list(generate(*args)) == expected, case
 
 
@@ -388,37 +388,64 @@ def test_cell_table_check_raises_the_square_errors(cells):
     assert re.fullmatch(words, str(whole.value))
 
 
-def test_first_row_pruning_call_counts(first_rows, kernel_calls, kernel_grids):
-    def counts(stream):
+def test_first_row_pruning_call_counts(
+    monkeypatch, first_rows, kernel_calls, kernel_grids
+):
+    lines = set()
+    kernel = kernels.product_square_indices
+    monkeypatch.setattr(
+        kernels,
+        "product_square_indices",
+        lambda sets, row: lines.update(sets) or kernel(sets, row),
+    )
+
+    def counts(alphabet, requirement=Category.MAGIC, universality=(), dedup=False):
         first_rows.clear()
         kernel_calls.clear()
         kernel_grids.clear()
+        lines.clear()
+        stream = enumerate_squares(alphabet, requirement, universality, dedup=dedup)
         squares = sum(1 for _ in stream)
         assert first_rows == sorted(first_rows)
         assert kernel_calls == sorted(kernel_calls)
+        # Every line the kernel gets reaches the magic sum in the cell values
+        # and in their images under every universality transform.
+        digits = parse_alphabet(alphabet)
+        cells = [f"{x}{y}" for x in digits for y in digits]
+        lanes = [cells] + [[cell_image(c, t) for c in cells] for t in universality]
+        for mask in lines:
+            held = [c for c in range(len(cells)) if mask >> c & 1]
+            for lane in lanes:
+                assert sum(int(lane[c]) for c in held) == magic_sum(digits)
         return squares, len(first_rows), len(kernel_calls), sum(kernel_grids)
 
     # The Latin route completes the canonical row 00 11 22 … once, 12 grids,
     # and relabels them for each admissible first row.
-    universal = enumerate_squares("1258", universality=ATOMIC_TRANSFORMS, dedup=True)
-    assert counts(universal) == (144, 156, 1, 12)
+    assert counts("1258", universality=ATOMIC_TRANSFORMS, dedup=True) == (
+        144, 156, 1, 12
+    )
     assert kernel_calls == [(0, 5, 10, 15)]
     # Every Latin first row (4! * 4!).
-    assert counts(enumerate_squares("1258")) == (1152, 576, 1, 12)
+    assert counts("1258") == (1152, 576, 1, 12)
     # The direct route, over an alphabet whose pair sums collide (1+6 = 2+5),
     # runs the kernel once on each of the 52 cell sets that reach 154, for
     # 12,816 semi-magic grids; each set's 24 orderings permute their
     # columns, and a magic query keeps the 4,224 whose main diagonals reach
     # the magic sum.
-    assert counts(enumerate_squares("1256")) == (4224, 1248, 52, 12816)
+    assert counts("1256") == (4224, 1248, 52, 12816)
+    # With rot180 the kernel gets only the lines whose rot180 images reach
+    # the magic sum too: 288 grids from 24 calls over 2569 (6,672 when it
+    # got every line that reaches 242), and none from the one call over
+    # 1256 (240 before).
+    assert counts("2569", universality=("rot180",), dedup=True) == (576, 576, 24, 288)
+    assert counts("1256", universality=("rot180",), dedup=True) == (0, 24, 1, 0)
     # The order4-latin-jsonl query.
-    semi = enumerate_squares("0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True)
-    assert counts(semi) == (864, 156, 1, 12)
+    assert counts("0125", Category.SEMI_MAGIC, ATOMIC_TRANSFORMS, dedup=True) == (
+        864, 156, 1, 12
+    )
     # No first row over 012 has a mirror-h image that reaches 33 (2 becomes
     # 5), so the Latin route never calls the kernel.
-    assert counts(enumerate_squares("012", Category.SEMI_MAGIC, ("mirror-h",))) == (
-        0, 0, 0, 0
-    )
+    assert counts("012", Category.SEMI_MAGIC, ("mirror-h",)) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(

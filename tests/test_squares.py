@@ -353,8 +353,9 @@ def test_transforms_sum_alike_along_every_latin_line(transform, size):
     # A Latin line is n cells whose tens digits and whose units digits are
     # each a permutation of the alphabet.  A transform maps a cell digit by
     # digit, at most swapping the places, so an image's cell values sum
-    # alike along every Latin line; the Latin route checks row 0's sum and
-    # then only the diagonals.
+    # alike along every Latin line.  So the Latin route's lines, the
+    # transversals, pass the search's line filter all together or not at
+    # all.
     checked = 0
     for alphabet in combinations(range(10), size):
         images = {
