@@ -170,20 +170,18 @@ def enumerate_squares(
     if latin:
         # Cell a·n + b holds tens index a and units index b, so the
         # transversal of permutation p holds cells a·n + p[a].
-        route = [
-            sum(1 << a * n + p[a] for a in range(n)) for p in permutations(range(n))
-        ]
+        route = [[a * n + p[a] for a in range(n)] for p in permutations(range(n))]
     else:
-        route = kernels.line_sets(values, n)[target]
-    sets = [
-        mask
-        for mask in route
-        if sum(packed[c] for c in range(n * n) if mask >> c & 1) == packed_target
-    ]
+        route = [
+            [c for c in range(n * n) if mask >> c & 1]
+            for mask in kernels.line_sets(values, n)[target]
+        ]
+    kept = [line for line in route if sum(packed[c] for c in line) == packed_target]
+    sets = [sum(1 << c for c in line) for line in kept]
     table = [(c, line) for c, line in lines(n) if Category.MAGIC <= c <= requirement]
 
     magic = requirement >= Category.MAGIC
-    rows = _first_rows(n, sets, values, orbit)
+    rows = _first_rows(n, kept, values, orbit)
     if latin:
         per_row = _latin_grids(rows, n, sets, values, target if magic else None)
     else:
@@ -209,19 +207,18 @@ def _sorts_lower(cells, values, elements):
     return False
 
 
-def _first_rows(n, sets, values, orbit):
+def _first_rows(n, lines, values, orbit):
     """The admissible first rows of ``enumerate_squares``, ascending.
 
-    A row is an ordering of one of ``sets``, the lines the search hands the
-    kernel too.  An orbit element whose image row 0 comes from row 0 and is
+    A row is an ordering of one of ``lines``, the kept lines' ascending cell
+    lists.  An orbit element whose image row 0 comes from row 0 and is
     below it lexicographically puts the whole image below the square, which
     dedup would then drop; the grid filter's orbit test, ``_sorts_lower``,
-    finds such rows.  Each set's orderings come out ascending, as its cells
-    ascend, merged as needed.
+    finds such rows.  Each line's orderings come out ascending, as its
+    cells ascend, merged as needed.
     """
-    cells = ([c for c in range(len(values)) if mask >> c & 1] for mask in sets)
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
-    for row in merge(*map(permutations, cells)):
+    for row in merge(*map(permutations, lines)):
         if not _sorts_lower(row, values, mins):
             yield row
 
@@ -235,14 +232,13 @@ def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]
     the tens by σ and the units by τ maps orthogonal Latin pairs onto
     orthogonal Latin pairs, so with σ(j) = a_j and τ(j) = b_j it maps the
     completions of the canonical row (j, j) one to one onto those of the
-    row with cells (a_j, b_j).  The kernel completes the canonical row from
-    ``sets``, the transversals, once, at the first row, and never if there
-    is none; its grids are then relabelled for every row, the diagonal cells
-    tested first.
+    row with cells (a_j, b_j).  The kernel completes the canonical row,
+    the main diagonal of ``lines(n)``, from ``sets``, the transversals,
+    once, at the first row, and never if there is none; its grids are then
+    relabelled for every row, the cells on the diagonals tested first.
     """
     size = n * n
-    main = range(0, size, n + 1)
-    anti = [i * (n - 1) + n - 1 for i in range(n)]
+    main, anti = _diagonals(n)
     # A grid's diagonal cells index a row's cell values followed by the same
     # values times ``scale``, so one sum gives down + up * scale.  No
     # diagonal sum reaches ``scale``, so that sum is ``both`` exactly when
@@ -253,7 +249,7 @@ def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]
     for row in rows:
         if canonical is None:
             canonical = []
-            for grid in kernels.product_square_indices(sets, tuple(main)):
+            for grid in kernels.product_square_indices(sets, main):
                 diagonals = [grid[p] for p in main] + [size + grid[p] for p in anti]
                 canonical.append((grid, itemgetter(*diagonals)))
         table = [a // n * n + b % n for a in row for b in row]
@@ -268,11 +264,18 @@ def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]
         yield grids
 
 
+def _diagonals(n):
+    """The two main diagonals of an n×n grid: the magic lines of ``lines``."""
+    return [line for c, line in lines(n) if c == Category.MAGIC]
+
+
 def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, ...]]]:
-    """The kernel's grids of each of ``rows`` in turn, over the lines of
-    ``by_sum`` (``kernels.line_sets`` of ``values``) that reach the row's
-    sum, each row's ascending; with ``target``, only those whose main
-    diagonals sum to it in ``values``.
+    """The kernel's grids of each of ``rows`` in turn, each row's ascending,
+    over the line masks that ``by_sum`` maps the row's sum in ``values`` to;
+    with ``target``, only those whose main diagonals sum to it in ``values``.
+    The direct route of ``enumerate_squares`` passes ``{target: kept
+    lines}`` and a target, with rows of four or more cells;
+    ``enumerate_palindromic`` passes all of ``kernels.line_sets`` and none.
 
     The rows must ascend.  Permuting a first row's cells permutes the
     columns of each of its completions, so the kernel completes each cell
@@ -299,17 +302,10 @@ def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, 
             continue
         n = len(row)
         columns = [seen.index(c) for c in row]
+        # Position p of this row's grids is position source[p] of seen's.
+        source = [p - p % n + columns[p % n] for p in range(n * n)]
         if target is not None:
-            # Grid row i's main-diagonal cell is its column i, its
-            # anti-diagonal cell its column n - 1 - i.  An itemgetter of one
-            # position returns a bare cell, so order 1, whose one cell is
-            # both diagonals, takes a slice instead.
-            main = [i * n + columns[i] for i in range(n)]
-            anti = [i * n + columns[n - 1 - i] for i in range(n)]
-            if n > 1:
-                main, anti = itemgetter(*main), itemgetter(*anti)
-            else:
-                main = anti = itemgetter(slice(1))
+            main, anti = (itemgetter(*[source[p] for p in d]) for d in _diagonals(n))
             value = values.__getitem__
             grids = [
                 g
@@ -318,7 +314,6 @@ def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, 
                 and sum(map(value, anti(g))) == target
             ]
         if row != seen:
-            source = [i + j for i in range(0, n * n, n) for j in columns]
             grids = sorted(tuple(map(g.__getitem__, source)) for g in grids)
         yield grids
 

@@ -563,15 +563,20 @@ def test_diagonal_check_filters_the_unchecked_grids(values, n, target, start, pa
     assert sum(map(len, unchecked)) > passed
 
 
-def test_diagonal_check_order1():
-    values = [3, 5, 7]
-    # One cell is both diagonals and the first row, so it passes exactly
-    # when its value is the target.
-    by_sum = kernels.line_sets(values, 1)
-    for c in range(3):
-        rows = [(c,)]
-        assert list(search._completions(rows, values, by_sum, values[c])) == [rows]
-        assert list(search._completions(rows, values, by_sum, 4)) == [[]]
+def test_diagonal_check_gets_rows_of_four_or_more_cells():
+    # Only the direct route hands _completions a diagonal target, and that
+    # route needs two pairs of distinct digits with the same sum, so four
+    # digits: every alphabet of one to three digits takes the Latin route at
+    # the magic and the pandiagonal level.  The census holds no order-1
+    # query, so order 1 also runs whole here: its one cell is every line.
+    alphabets = ["".join(c) for k in (1, 2, 3) for c in combinations("0123456789", k)]
+    assert len(alphabets) == 175
+    for alphabet in alphabets:
+        for requirement in (Category.MAGIC, Category.PANDIAGONAL_MAGIC):
+            assert _route(alphabet, requirement) == "latin", (alphabet, requirement)
+            if len(alphabet) == 1:
+                stream = enumerate_squares(alphabet, requirement)
+                assert [s.concat for s in stream] == [alphabet * 2]
 
 
 # --- Latin pairs -----------------------------------------------------------------
