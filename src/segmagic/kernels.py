@@ -4,10 +4,10 @@ A grid of distinct cells whose rows and columns are all lines is two
 families of line sets: n pairwise disjoint row sets and n pairwise disjoint
 column sets, every row set meeting every column set in exactly one cell (the
 exact-cover view of Knuth, "Dancing Links", 2000).  The generator chooses
-sets, held as bitmasks over cell indices, instead of placing one cell at a
+sets, held inside a call as bitmasks, instead of placing one cell at a
 time.  Each call completes one given first row from one given family of
-line sets; the searches in ``search`` choose the first rows and the family:
-the target-sum sets of ``line_sets``, or the transversals of a Latin pair.
+lines of cell indices; the searches choose the first rows and the family:
+the target-sum lines of ``line_sets``, or the transversals of a Latin pair.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from itertools import combinations, permutations
 KERNEL = "pure-python"
 
 
-def product_square_indices(sets, row):
+def product_square_indices(lines, row):
     """Enumerate row-major n×n grids of distinct cells whose first row is
-    ``row`` and whose rows and columns all come from ``sets``, n being
+    ``row`` and whose rows and columns all come from ``lines``, n being
     ``len(row)``.
 
-    sets    the lines: bitmasks of n cell indices each
-    row     the first row: n ≥ 1 distinct cell indices whose mask is in
-            ``sets``
+    lines   the lines: sequences of n distinct cell indices each
+    row     the first row: n ≥ 1 distinct cell indices that hold the cells
+            of one of ``lines``
 
     Returns the list of solutions in lexicographic order, each a row-major
     tuple of cell indices.
@@ -38,8 +38,9 @@ def product_square_indices(sets, row):
     """
     row = tuple(row)
     n = len(row)
+    sets = [_mask(line) for line in lines]
     if not row or len(set(row)) != n or min(row) < 0 or _mask(row) not in sets:
-        raise ValueError("first row must be distinct cells whose mask is a line")
+        raise ValueError("first row must be distinct cells that make up a line")
     return _grids(row, sets, n)
 
 
@@ -114,16 +115,16 @@ def _mask(cells):
     return sum(1 << c for c in cells)
 
 
-def line_sets(values, n: int) -> dict[int, tuple[int, ...]]:
+def line_sets(values, n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Value sum -> every n-subset of indices into ``values`` with that sum,
-    as bitmasks.  ``values`` must hold at least ``n**2`` ascending distinct
-    integers: the values the cells may take, each used at most once."""
+    as an ascending tuple.  ``values`` must hold at least ``n**2`` ascending
+    distinct integers: the values the cells may take, each used at most once."""
     vals = tuple(values)
     if len(vals) < n * n:
         raise ValueError(f"need at least {n * n} values, got {len(vals)}")
     if any(a >= b for a, b in zip(vals, vals[1:])):
         raise ValueError("values must be ascending and distinct")
-    sets: dict[int, list[int]] = {}
+    sets: dict[int, list[tuple[int, ...]]] = {}
     for combo in combinations(range(len(vals)), n):
-        sets.setdefault(sum(vals[c] for c in combo), []).append(_mask(combo))
-    return {total: tuple(masks) for total, masks in sets.items()}
+        sets.setdefault(sum(vals[c] for c in combo), []).append(combo)
+    return {total: tuple(lines) for total, lines in sets.items()}

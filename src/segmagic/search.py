@@ -21,7 +21,7 @@ only magic grids reach it; the line-sum check stays the exact one.
 The kernel completes a first row from the lines it is given, and the search
 runs on one of two routes.  The direct route's lines are the sets of n cells
 whose values reach the magic sum (``kernels.line_sets``); it runs the
-kernel once per such set, at the set's first admissible ordering; permuting
+kernel once per such set, on the line's own ascending order; permuting
 a first row's cells permutes the columns of its completions, so every other
 ordering of the set permutes the columns of those grids, testing their main
 diagonals first on a magic or pandiagonal query.  The palindromic search
@@ -108,25 +108,25 @@ def enumerate_squares(
     The admissible first rows are completed in lexicographic order, and each
     row's squares are yielded as soon as its grids are known, so the first
     square waits only for the rows up to its own.  The direct route runs the
-    kernel once per cell set, at the set's first admissible row, and
-    permutes the columns of its grids for the set's other rows; the Latin
-    route runs it once, on the canonical row, at the first admissible row,
-    and relabels its grids for each row (see the module docstring).  The
-    kernel gets only the route's lines (the transversals on the Latin route,
-    the sets of n cells that reach the magic sum on the direct one) whose
-    cells' images under every universality transform reach the magic sum
+    kernel once per cell set, on the set's ascending ordering, at its first
+    admissible row, and permutes the columns of its grids for the set's other
+    orderings; the Latin route runs it once, on the canonical row, at the first
+    admissible row, and relabels its grids for each row (see the module
+    docstring).  The kernel gets only the route's lines (the transversals on the
+    Latin route, the sets of n cells that reach the magic sum on the direct one)
+    whose cells' images under every universality transform reach the magic sum
     too: every transform maps rows and columns onto rows and columns, so no
-    other line can be a row or a column of a kept square.  A row's grids
-    have rows and columns made of those lines, and from the magic level on
-    main diagonals that reach the magic sum; each is kept when its diagonals
-    up to ``requirement`` and those of every universality image reach the
-    magic sum (one ``line_level`` call on the packed values of the module
-    docstring), and (with ``dedup``) no orbit element sorts it lower.  A
-    first row is admissible when it orders one of those lines and (with
-    ``dedup``) no orbit element that maps row 0 onto row 0 sorts it lower;
-    the rows left out hold only squares the filter would drop.  The cells
-    are written from the parsed alphabet, so the squares skip
-    ``Square``'s cell checks.
+    other line can be a row or a column of a kept square.  A row's grids have
+    rows and columns made of those lines, and from the magic level on main
+    diagonals that reach the magic sum; each is kept when its diagonals up to
+    ``requirement`` and those of every universality image reach the magic sum
+    (one ``line_level`` call on the packed values of the module docstring, none
+    at the semi-magic level, which leaves no line to check), and (with
+    ``dedup``) no orbit element sorts it lower.  A first row is admissible when
+    it orders one of those lines and (with ``dedup``) no orbit element that maps
+    row 0 onto row 0 sorts it lower; the rows left out hold only squares the
+    filter would drop.  The cells are written from the parsed alphabet, so the
+    squares skip ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
     if requirement not in range(Category.SEMI_MAGIC, Category.PANDIAGONAL_MAGIC + 1):
@@ -170,26 +170,25 @@ def enumerate_squares(
     if latin:
         # Cell a·n + b holds tens index a and units index b, so the
         # transversal of permutation p holds cells a·n + p[a].
-        route = [[a * n + p[a] for a in range(n)] for p in permutations(range(n))]
+        route = [tuple(a * n + p[a] for a in range(n)) for p in permutations(range(n))]
     else:
-        route = [
-            [c for c in range(n * n) if mask >> c & 1]
-            for mask in kernels.line_sets(values, n)[target]
-        ]
+        route = kernels.line_sets(values, n)[target]
     kept = [line for line in route if sum(packed[c] for c in line) == packed_target]
-    sets = [sum(1 << c for c in line) for line in kept]
     table = [(c, line) for c, line in lines(n) if Category.MAGIC <= c <= requirement]
 
     magic = requirement >= Category.MAGIC
     rows = _first_rows(n, kept, values, orbit)
     if latin:
-        per_row = _latin_grids(rows, n, sets, values, target if magic else None)
+        per_row = _latin_grids(rows, n, kept, values, target if magic else None)
     else:
-        per_row = _completions(rows, values, {target: sets}, target if magic else None)
+        per_row = _completions(rows, values, {target: kept}, target if magic else None)
     for grids in per_row:
         for grid in grids:
-            level = line_level([packed[c] for c in grid], table, packed_target)
-            if level >= requirement and not _sorts_lower(grid, values, orbit):
+            if table:
+                level = line_level([packed[c] for c in grid], table, packed_target)
+                if level < requirement:
+                    continue
+            if not _sorts_lower(grid, values, orbit):
                 yield _from_grid(n, cells, grid)
 
 
@@ -211,7 +210,7 @@ def _first_rows(n, lines, values, orbit):
     """The admissible first rows of ``enumerate_squares``, ascending.
 
     A row is an ordering of one of ``lines``, the kept lines' ascending cell
-    lists.  An orbit element whose image row 0 comes from row 0 and is
+    tuples.  An orbit element whose image row 0 comes from row 0 and is
     below it lexicographically puts the whole image below the square, which
     dedup would then drop; the grid filter's orbit test, ``_sorts_lower``,
     finds such rows.  Each line's orderings come out ascending, as its
@@ -271,22 +270,21 @@ def _diagonals(n):
 
 def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, ...]]]:
     """The kernel's grids of each of ``rows`` in turn, each row's ascending,
-    over the line masks that ``by_sum`` maps the row's sum in ``values`` to;
-    with ``target``, only those whose main diagonals sum to it in ``values``.
+    over the lines that ``by_sum`` maps the row's sum in ``values`` to; with
+    ``target``, only those whose main diagonals sum to it in ``values``.
     The direct route of ``enumerate_squares`` passes ``{target: kept
     lines}`` and a target, with rows of four or more cells;
     ``enumerate_palindromic`` passes all of ``kernels.line_sets`` and none.
 
     The rows must ascend.  Permuting a first row's cells permutes the
     columns of each of its completions, so the kernel completes each cell
-    set once, at its first ordering among ``rows`` (not always the
-    ascending one, which orbit pruning may drop), and every later ordering
-    permutes the columns of those grids, the diagonal cells tested first.
-    Each set's grids are kept as the kernel returned them, an empty list
-    too, until the rows' first cell passes the set's largest cell, after
-    which no ordering of the set can follow.
+    set once, on its ascending ordering, and every ordering among ``rows``
+    but that one permutes the columns of those grids, the diagonal cells
+    tested first.  Each set's grids are kept as the kernel returned them,
+    an empty list too, until the rows' first cell passes the set's largest
+    cell, after which no ordering of the set can follow.
     """
-    completed = {}  # ascending cells -> (first ordering, its grids)
+    completed = {}  # ascending cells -> their grids
     first = None
     for row in rows:
         if row[0] != first:
@@ -295,14 +293,14 @@ def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, 
         cells = tuple(sorted(row))
         if cells not in completed:
             sets = by_sum[sum(values[c] for c in row)]
-            completed[cells] = (row, kernels.product_square_indices(sets, row))
-        seen, grids = completed[cells]
+            completed[cells] = kernels.product_square_indices(sets, cells)
+        grids = completed[cells]
         if not grids:
             yield grids
             continue
         n = len(row)
-        columns = [seen.index(c) for c in row]
-        # Position p of this row's grids is position source[p] of seen's.
+        columns = [cells.index(c) for c in row]
+        # Position p of this row's grids is position source[p] of cells'.
         source = [p - p % n + columns[p % n] for p in range(n * n)]
         if target is not None:
             main, anti = (itemgetter(*[source[p] for p in d]) for d in _diagonals(n))
@@ -313,7 +311,7 @@ def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, 
                 if sum(map(value, main(g))) == target
                 and sum(map(value, anti(g))) == target
             ]
-        if row != seen:
+        if row != cells:
             grids = sorted(tuple(map(g.__getitem__, source)) for g in grids)
         yield grids
 

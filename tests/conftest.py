@@ -39,9 +39,9 @@ def joined_grids(values, order, target, start=()):
 
 
 def transversals(n):
-    """The Latin route's lines: the n! masks of the n cells a·n + b that hold
-    each a once and each b once."""
-    return [sum(1 << a * n + p[a] for a in range(n)) for p in permutations(range(n))]
+    """The Latin route's lines: the n! ascending tuples of the n cells a·n + b
+    that hold each a once and each b once."""
+    return [tuple(a * n + p[a] for a in range(n)) for p in permutations(range(n))]
 
 
 def diagonals_hit(grid, values, n, target):
@@ -57,9 +57,9 @@ def kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = kernels.product_square_indices
 
-    def recording(sets, row):
+    def recording(lines, row):
         calls.append(row)
-        return kernel(sets, row)
+        return kernel(lines, row)
 
     monkeypatch.setattr(kernels, "product_square_indices", recording)
     return calls
@@ -71,8 +71,8 @@ def kernel_grids(kernel_calls, monkeypatch) -> list:
     counts = []
     kernel = kernels.product_square_indices
 
-    def counting(sets, row):
-        grids = kernel(sets, row)
+    def counting(lines, row):
+        grids = kernel(lines, row)
         counts.append(len(grids))
         return grids
 

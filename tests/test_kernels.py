@@ -78,11 +78,33 @@ def test_kernel_validation():
 
 def test_bad_row_raises():
     # The kernel checks only its first row: repeated cells, an empty row, a
-    # negative cell and rows whose mask is not one of the lines.
+    # negative cell and rows whose cells are not one of the lines.
     sets = kernels.line_sets(_values((0, 1, 2)), 3)[33]
     for row in [(0, 0, 8), (0,) * 10, (), (-1, 4, 8), (0, 1, 2), (0, 4, 100)]:
         with pytest.raises(ValueError, match="first row must be distinct"):
             kernels.product_square_indices(sets, row)
+
+
+def test_lines_are_ascending_cell_tuples():
+    # line_sets lists each line as its ascending cells, which sum to its
+    # key; the kernel takes the lines as any sequences of cells, and a first
+    # row must hold the cells of one of them.
+    values = _values((0, 1, 2))
+    by_sum = kernels.line_sets(values, 3)
+    assert sum(map(len, by_sum.values())) == 84  # C(9, 3)
+    for total, lines in by_sum.items():
+        for line in lines:
+            assert type(line) is tuple and list(line) == sorted(set(line))
+            assert sum(values[c] for c in line) == total
+    lines = by_sum[33]
+    grids = kernels.product_square_indices(lines, (0, 4, 8))
+    assert len(grids) == 2
+    assert kernels.product_square_indices(list(map(list, lines)), (0, 4, 8)) == grids
+    assert (0, 4, 8) in lines and (0, 3, 8) not in lines  # 00 10 22 sum to 32
+    others = [line for line in lines if line != (0, 4, 8)]
+    for family, row in [(lines, (0, 3, 8)), (others, (0, 4, 8))]:
+        with pytest.raises(ValueError, match="first row must be distinct"):
+            kernels.product_square_indices(family, row)
 
 
 def test_kernel_where_latin_route_is_no_oracle():
@@ -132,16 +154,14 @@ def test_order3_any_family_matches_brute_force(seed):
     # For a family of 3-cell lines that no sum or Latin pair defines, the
     # grids are still exactly those whose rows and columns are all lines:
     # the last column, which the others leave, must be one too.
-    family = [sum(1 << c for c in s) for s in combinations(range(9), 3)]
-    sets = random.Random(seed).sample(family, 40)
-    for mask in sets:
-        row = tuple(c for c in range(9) if mask >> c & 1)
-        rest = [c for c in range(9) if not mask >> c & 1]
+    sets = random.Random(seed).sample(list(combinations(range(9), 3)), 40)
+    for row in sets:
+        rest = [c for c in range(9) if c not in row]
         grids = (row + tail for tail in permutations(rest))
         brute = [
             g
             for g in grids
-            if all(sum(1 << g[p] for p in line) in sets for line in _LINES_3)
+            if all(tuple(sorted(g[p] for p in line)) in sets for line in _LINES_3)
         ]
         assert kernels.product_square_indices(sets, row) == brute
 

@@ -292,7 +292,7 @@ def _scanned_first_rows(n, sets, values, target, images, orbit):
     ]
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
     for row in permutations(range(len(values)), n):
-        if sum(1 << c for c in row) not in lines:
+        if tuple(sorted(row)) not in lines:
             continue
         if any(sum(image[row[s]] for s in src) != target for src, image in sums):
             continue
@@ -413,10 +413,9 @@ def test_first_row_pruning_call_counts(
         digits = parse_alphabet(alphabet)
         cells = [f"{x}{y}" for x in digits for y in digits]
         lanes = [cells] + [[cell_image(c, t) for c in cells] for t in universality]
-        for mask in lines:
-            held = [c for c in range(len(cells)) if mask >> c & 1]
+        for line in lines:
             for lane in lanes:
-                assert sum(int(lane[c]) for c in held) == magic_sum(digits)
+                assert sum(int(lane[c]) for c in line) == magic_sum(digits)
         return squares, len(first_rows), len(kernel_calls), sum(kernel_grids)
 
     # The Latin route completes the canonical row 00 11 22 … once, 12 grids,
@@ -474,11 +473,10 @@ def test_order5_first_row_call_counts(
     assert len(first_rows) == calls
     assert first_rows == sorted(first_rows)
     # The Latin route calls the kernel on the canonical row alone, the
-    # direct route once per cell set, on its first ordering among the rows.
-    sets = {}
-    for row in first_rows:
-        sets.setdefault(tuple(sorted(row)), row)
-    expected = [(0, 6, 12, 18, 24)] if universality else list(sets.values())
+    # direct route once per cell set, on its ascending ordering, when the
+    # rows first reach the set.
+    sets = dict.fromkeys(tuple(sorted(row)) for row in first_rows)
+    expected = [(0, 6, 12, 18, 24)] if universality else list(sets)
     assert kernel_rows == expected
     assert len(kernel_rows) == (1 if universality else 368)
 
@@ -532,8 +530,8 @@ _DIAGONAL_CASES = {
     "order3": (_cell_values("012"), 3, 33, (), 8),
     "order3-none-pass": (_cell_values("125"), 3, 88, (), 0),
     "order4": (_cell_values("1258"), 4, 176, (0,), 72),
-    # Every row starts with 12, so a set that also holds 11 is first reached
-    # on an ordering that is not its ascending one.
+    # Every row starts with 12, so the kernel completes a set that also
+    # holds 11 on its ascending ordering, which is none of the rows.
     "order4-first-ordering-not-ascending": (_cell_values("1258"), 4, 176, (1,), 72),
 }
 
