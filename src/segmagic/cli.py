@@ -5,7 +5,9 @@ parse error, 141 (128 + SIGPIPE) stdout was closed early, as by ``| head``.
 Squares are read from a file argument or standard input; stdout carries
 data, stderr diagnostics.  Each command imports only the modules it runs:
 ``search`` (and the kernel) for search and palindromes, ``dates`` for dates,
-``json`` for JSON output.
+``json`` for JSON output.  ``main`` builds the parser with every command and
+its help, but adds arguments only to the command it runs, so usage, help and
+errors read as those of the parser of every command (``build_parser()``).
 """
 
 from __future__ import annotations
@@ -148,7 +150,11 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser: every command with its help, and the
+    arguments of ``command`` alone, or of every command when it is None.
+    On a command line whose command is ``command`` it parses, prints and
+    exits as the parser of every command does."""
     parser = argparse.ArgumentParser(
         prog="segmagic",
         description="Verify, transform and enumerate universal magic squares "
@@ -160,72 +166,87 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", nargs="?", help="square file (default: stdin)")
 
     p = sub.add_parser("verify", help="classify a square and check expectations")
-    add_square_arg(p)
-    p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS))
-    p.add_argument("--constant", type=int)
-    p.add_argument("--json", action="store_true")
+    if command in (None, "verify"):
+        add_square_arg(p)
+        p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS))
+        p.add_argument("--constant", type=int)
+        p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="classify plus universality verdicts")
-    add_square_arg(p)
-    p.add_argument("--transforms", help="comma-separated (default: all four)")
-    p.add_argument("--json", action="store_true")
+    if command in (None, "classify"):
+        add_square_arg(p)
+        p.add_argument("--transforms", help="comma-separated (default: all four)")
+        p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("transform", help="apply transforms and print the image")
-    add_square_arg(p)
-    p.add_argument(
-        "--apply",
-        action="append",
-        required=True,
-        choices=squares.ATOMIC_TRANSFORMS,
-        help="repeatable; applied left to right",
-    )
+    if command in (None, "transform"):
+        add_square_arg(p)
+        p.add_argument(
+            "--apply",
+            action="append",
+            required=True,
+            choices=squares.ATOMIC_TRANSFORMS,
+            help="repeatable; applied left to right",
+        )
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("search", help="enumerate combination squares")
-    p.add_argument("--alphabet", required=True, help="digit string, e.g. 1258")
-    p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS), default="magic")
-    p.add_argument("--transforms", help="universality filter, comma-separated")
-    p.add_argument("--dedup", action="store_true", help="orbit-minimal squares only")
-    # Accepted and ignored: the search picks the Latin route itself.  It stays
-    # because the benchmark's order4-latin-jsonl command line still passes it.
-    p.add_argument("--via-latin", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--jsonl", action="store_true", help="one report per line")
+    if command in (None, "search"):
+        p.add_argument("--alphabet", required=True, help="digit string, e.g. 1258")
+        p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS), default="magic")
+        p.add_argument("--transforms", help="universality filter, comma-separated")
+        p.add_argument(
+            "--dedup", action="store_true", help="orbit-minimal squares only"
+        )
+        # Accepted and ignored: the search picks the Latin route itself.  It
+        # stays because the benchmark's order4-latin-jsonl command line still
+        # passes it.
+        p.add_argument("--via-latin", action="store_true", help=argparse.SUPPRESS)
+        p.add_argument("--jsonl", action="store_true", help="one report per line")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("palindromes", help="enumerate palindromic semi-magic squares")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--jsonl", action="store_true")
+    if command in (None, "palindromes"):
+        p.add_argument("--alphabet", required=True)
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--width", type=int, required=True)
+        p.add_argument("--jsonl", action="store_true")
     p.set_defaults(func=cmd_palindromes)
 
     p = sub.add_parser("dates", help="scan a date range for alphabet membership")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--from", dest="start", required=True, metavar="DD.MM.YYYY")
-    p.add_argument("--to", dest="end", required=True, metavar="DD.MM.YYYY")
-    # dates.MODES, spelt out so that building the parser does not import dates
-    p.add_argument("--mode", choices=("subset", "exact"), default="subset")
-    p.add_argument("--json", action="store_true")
+    if command in (None, "dates"):
+        p.add_argument("--alphabet", required=True)
+        p.add_argument("--from", dest="start", required=True, metavar="DD.MM.YYYY")
+        p.add_argument("--to", dest="end", required=True, metavar="DD.MM.YYYY")
+        # dates.MODES, spelt out so that building the parser does not
+        # import dates
+        p.add_argument("--mode", choices=("subset", "exact"), default="subset")
+        p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dates)
 
     p = sub.add_parser("render", help="print a square in another style")
-    add_square_arg(p)
-    p.add_argument(
-        "--style",
-        choices=("plain", "json", "sevenseg", "bordered"),
-        default="plain",
-    )
-    p.add_argument("--border-label", help="frame cell for the bordered style")
+    if command in (None, "render"):
+        add_square_arg(p)
+        p.add_argument(
+            "--style",
+            choices=("plain", "json", "sevenseg", "bordered"),
+            default="plain",
+        )
+        p.add_argument("--border-label", help="frame cell for the bordered style")
     p.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the command
+    # argparse runs is the first argument that is not an option; only its
+    # subparser needs arguments.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except SquareParseError as err:

@@ -14,9 +14,10 @@ rows and columns onto rows and columns, so a set of cells can be a row or a
 column of a kept square only if its packed sum reaches the packed target:
 the kernel gets only the route's lines that do, and the grids' rows and
 columns need no further check.  The check on each grid reads only its
-diagonals up to the query's level.  For a magic or pandiagonal query both
-main diagonals are checked on the cell values before the line-sum check, so
-only magic grids reach it; the line-sum check stays the exact one.
+diagonals up to the query's level.  For a magic or pandiagonal query only
+grids whose main diagonals reach the magic sum reach it: in cell values on
+the direct route, and on the Latin route in every lane, so there the check
+reads only the wrap-around diagonals, and a magic query none.
 
 The kernel completes a first row from the lines it is given, and the search
 runs on one of two routes.  The direct route's lines are the sets of n cells
@@ -33,7 +34,14 @@ of doubled digits (11 22 55 88 over {1,2,5,8}), and relabels the tens and
 the units of those grids to reach every other first row, whose completions
 they are one to one (the isotopy action through which Latin squares are
 counted from reduced forms; McKay, Meynert and Myrvold, "Small Latin
-squares, quasigroups and loops", 2007).  Every such square is semi-magic;
+squares, quasigroups and loops", 2007).  On a magic or pandiagonal query it
+relabels only the grids whose main diagonals then reach the magic sum in
+every lane: a cell's packed value adds a part of its tens index and a part
+of its units index, so a diagonal's sum depends only on the tens and the
+units index multisets of its canonical cells; the canonical grids are
+grouped by those multisets once, and each row joins the groups' sums under
+its relabellings instead of summing every grid's diagonals (the
+transversal view of Wanless, "Transversals in Latin squares", 2011).  Every such square is semi-magic;
 the converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2,
 there are 353,664 semi-magic squares and only 6,912 of them have Latin
 digit grids.  The search takes the Latin route only where it misses no
@@ -58,6 +66,7 @@ empty.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import merge
 from itertools import combinations, permutations, product
 from operator import itemgetter
@@ -111,9 +120,11 @@ def enumerate_squares(
     kernel once per cell set, on the set's ascending ordering, at its first
     admissible row, and permutes the columns of its grids for the set's other
     orderings; the Latin route runs it once, on the canonical row, at the first
-    admissible row, and relabels its grids for each row (see the module
-    docstring).  The kernel gets only the route's lines (the transversals on the
-    Latin route, the sets of n cells that reach the magic sum on the direct one)
+    admissible row, and relabels its grids for each row, from the magic level
+    on only those whose main diagonals, and those of every universality image,
+    the row's relabelling takes to the magic sum (see the module docstring).
+    The kernel gets only the route's lines (the transversals on the Latin
+    route, the sets of n cells that reach the magic sum on the direct one)
     whose cells' images under every universality transform reach the magic sum
     too: every transform maps rows and columns onto rows and columns, so no
     other line can be a row or a column of a kept square.  A row's grids have
@@ -121,12 +132,13 @@ def enumerate_squares(
     diagonals that reach the magic sum; each is kept when its diagonals up to
     ``requirement`` and those of every universality image reach the magic sum
     (one ``line_level`` call on the packed values of the module docstring, none
-    at the semi-magic level, which leaves no line to check), and (with
-    ``dedup``) no orbit element sorts it lower.  A first row is admissible when
-    it orders one of those lines and (with ``dedup``) no orbit element that maps
-    row 0 onto row 0 sorts it lower; the rows left out hold only squares the
-    filter would drop.  The cells are written from the parsed alphabet, so the
-    squares skip ``Square``'s cell checks.
+    where no line is left to check: at the semi-magic level, and at the magic
+    level on the Latin route), and (with ``dedup``) no orbit element sorts it
+    lower.  A first row is admissible when it orders one of those lines and
+    (with ``dedup``) no orbit element that maps row 0 onto row 0 sorts it
+    lower; the rows left out hold only squares the filter would drop.  The
+    cells are written from the parsed alphabet, so the squares skip
+    ``Square``'s cell checks.
     """
     alphabet = parse_alphabet(alphabet)
     if requirement not in range(Category.SEMI_MAGIC, Category.PANDIAGONAL_MAGIC + 1):
@@ -174,12 +186,15 @@ def enumerate_squares(
     else:
         route = kernels.line_sets(values, n)[target]
     kept = [line for line in route if sum(packed[c] for c in line) == packed_target]
-    table = [(c, line) for c, line in lines(n) if Category.MAGIC <= c <= requirement]
+    # The Latin route's diagonal join settles the main diagonals of every
+    # lane, so its grids need only the wrap-around diagonals checked.
+    lowest = Category.PANDIAGONAL_MAGIC if latin else Category.MAGIC
+    table = [(c, line) for c, line in lines(n) if lowest <= c <= requirement]
 
     magic = requirement >= Category.MAGIC
     rows = _first_rows(n, kept, values, orbit)
     if latin:
-        per_row = _latin_grids(rows, n, kept, values, target if magic else None)
+        per_row = _latin_grids(rows, n, kept, packed, packed_target if magic else None)
     else:
         per_row = _completions(rows, values, {target: kept}, target if magic else None)
     for grids in per_row:
@@ -225,7 +240,10 @@ def _first_rows(n, lines, values, orbit):
 def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]]]:
     """The Latin grids of each of ``rows`` in turn, each row's ascending;
     with ``target``, only those whose main diagonals sum to it in
-    ``values``.
+    ``values``.  These must weigh cell a·n + b as a part of a plus a part
+    of b.  The cell values of a combination square do, and so do the
+    search's packed values, since every transform maps a cell's two digits
+    one by one, in either order.
 
     Cell index a·n + b holds tens index a and units index b.  Relabelling
     the tens by σ and the units by τ maps orthogonal Latin pairs onto
@@ -234,33 +252,72 @@ def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]
     row with cells (a_j, b_j).  The kernel completes the canonical row,
     the main diagonal of ``lines(n)``, from ``sets``, the transversals,
     once, at the first row, and never if there is none; its grids are then
-    relabelled for every row, the cells on the diagonals tested first.
+    relabelled for every row; with ``target``, only those that
+    ``_diagonal_join`` picks for the row.
     """
-    size = n * n
-    main, anti = _diagonals(n)
-    # A grid's diagonal cells index a row's cell values followed by the same
-    # values times ``scale``, so one sum gives down + up * scale.  No
-    # diagonal sum reaches ``scale``, so that sum is ``both`` exactly when
-    # each diagonal reaches the target.
-    scale = n * max(values) + 1
-    both = None if target is None else target * (1 + scale)
+    main = _diagonals(n)[0]
     canonical = None
     for row in rows:
         if canonical is None:
-            canonical = []
-            for grid in kernels.product_square_indices(sets, main):
-                diagonals = [grid[p] for p in main] + [size + grid[p] for p in anti]
-                canonical.append((grid, itemgetter(*diagonals)))
+            canonical = kernels.product_square_indices(sets, main)
+            if target is not None:
+                hits = _diagonal_join(canonical, n, values, target)
+        grids = canonical if target is None else hits(row)
         table = [a // n * n + b % n for a in row for b in row]
-        cell = [values[c] for c in table]
-        lanes = cell + [v * scale for v in cell]
-        grids = [
-            tuple(map(table.__getitem__, g))
-            for g, diagonals in canonical
-            if both is None or sum(diagonals(lanes)) == both
+        yield sorted(tuple(map(table.__getitem__, g)) for g in grids)
+
+
+def _diagonal_join(grids, n, values, target):
+    """A function from a Latin first row to those of ``grids``, canonical
+    Latin grids, whose main diagonals reach ``target`` once relabelled for
+    the row as in ``_latin_grids``.
+
+    Cell a·n + b weighs T[a] + U[b], with T[a] = values[a·n] − values[0] and
+    U[b] = values[b], so a relabelled diagonal whose canonical cells hold
+    the tens indices A and the units indices B sums to Σ T[σ(a)] over A plus
+    Σ U[τ(b)] over B.  So the grids are grouped once by the tens and the
+    units index multisets of their main diagonal, then by those of their
+    anti-diagonal, and no grid's diagonal is summed.  The tens multisets are
+    summed once per σ and the units multisets once per τ.  A row takes the
+    main groups whose two sums reach the target, then of their
+    anti-diagonal groups those that reach it.
+    """
+    tens_part = [values[a * n] - values[0] for a in range(n)]  # T
+    units_part = values[:n]  # U
+    diagonals = _diagonals(n)
+    tens, units = {}, {}  # multiset -> its key, numbered as first seen
+    groups = {}  # main key -> anti key -> grids
+    for g in grids:
+        main, anti = (
+            (
+                tens.setdefault(tuple(sorted(g[p] // n for p in d)), len(tens)),
+                units.setdefault(tuple(sorted(g[p] % n for p in d)), len(units)),
+            )
+            for d in diagonals
+        )
+        groups.setdefault(main, {}).setdefault(anti, []).append(g)
+
+    @cache
+    def per_sigma(sigma):
+        return [sum(tens_part[sigma[a]] for a in key) for key in tens]
+
+    @cache
+    def per_tau(tau):
+        return [sum(units_part[tau[b]] for b in key) for key in units]
+
+    def hits(row):
+        ten = per_sigma(tuple(c // n for c in row))
+        unit = per_tau(tuple(c % n for c in row))
+        return [
+            g
+            for (t, u), by_anti in groups.items()
+            if ten[t] + unit[u] == target
+            for (anti_t, anti_u), group in by_anti.items()
+            if ten[anti_t] + unit[anti_u] == target
+            for g in group
         ]
-        grids.sort()
-        yield grids
+
+    return hits
 
 
 def _diagonals(n):

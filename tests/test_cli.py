@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import segmagic
+from segmagic import cli
 from segmagic.cli import main
 
 from conftest import fixture_path
@@ -109,6 +110,45 @@ def test_no_command_is_exit_2():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+_COMMANDS = ("verify", "classify", "transform", "search", "palindromes", "dates", "render")
+
+
+def _parser_exit(parse, argv):
+    """(stdout, stderr, exit code) of a parse that exits, as for help or an
+    error; both streams captured in-process."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    return out.getvalue(), err.getvalue(), exit_.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h", "search"],
+        *([name, "--help"] for name in _COMMANDS),
+        [],
+        ["nosuch"],
+        ["--", "nosuch", "verify"],
+        ["verify", FIX_5x5, "--nope"],
+        ["dates", "--alphabet", "1", "--from", "01.01.2010", "--to", "01.01.2010", "-x"],
+        ["search"],
+        ["transform", FIX_5x5],
+        ["palindromes", "--alphabet", "125", "--order", "3"],
+        ["search", "--alphabet", "1258", "--expect", "nosuch"],
+    ],
+    ids=" ".join,
+)
+def test_parser_of_the_invoked_command_alone_prints_the_same(argv):
+    # main adds arguments only to the subparser of the command it runs;
+    # help, usage and errors equal those of the parser of every command.
+    assert _parser_exit(main, argv) == _parser_exit(cli.build_parser().parse_args, argv)
 
 
 # --- classify / transform ----------------------------------------------------

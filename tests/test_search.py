@@ -490,6 +490,26 @@ def test_order5_first_row_call_counts(
         # Two sampled rows: tens 4 2 0 3 1 with units 1 3 4 0 2, and tens
         # 3 2 4 1 0 with units 0 4 1 2 3.
         ("01258", [(21, 13, 4, 15, 7), (15, 14, 21, 7, 3)], 432, 8),
+        # The same two, then rows that repeat the tens of the first, the
+        # units of the second, and the tens of the second with the units of
+        # the first, so that the diagonal join reuses its sums.
+        (
+            "01258",
+            [
+                (21, 13, 4, 15, 7),
+                (15, 14, 21, 7, 3),
+                (20, 11, 2, 18, 9),
+                (0, 9, 21, 17, 13),
+                (16, 13, 24, 5, 2),
+            ],
+            432,
+            23,
+        ),
+        # Every row (3! * 3!): 28 of the 36 keep no grid.  No order-5 row
+        # keeps none: four canonical grids there have diagonals that hold
+        # every tens and every units index, which every relabelling leaves
+        # at the magic sum.
+        ("012", None, 2, 8),
     ],
 )
 def test_latin_relabelling_equals_the_kernel(kernel_calls, alphabet, rows, per_row, magic):
