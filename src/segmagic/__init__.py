@@ -25,6 +25,7 @@ _HOMES = {
     "ROT180": "glyphs",
     "digit_mask": "glyphs",
     "digit_transform": "glyphs",
+    "parse_alphabet": "glyphs",
     "transform_mask": "glyphs",
     "LatinPair": "search",
     "LatinPairError": "search",
@@ -45,7 +46,6 @@ _HOMES = {
     "classify": "squares",
     "classify_universal": "squares",
     "magic_constant": "squares",
-    "parse_alphabet": "squares",
     "parse_square": "squares",
     "render": "squares",
     "report_to_json": "squares",

@@ -4,10 +4,12 @@ Exit status: 0 success, 1 a requested property check failed, 2 usage or
 parse error, 141 (128 + SIGPIPE) stdout was closed early, as by ``| head``.
 Squares are read from a file argument or standard input; stdout carries
 data, stderr diagnostics.  Each command imports only the modules it runs:
-``search`` (and the kernel) for search and palindromes, ``dates`` for dates,
-``json`` for JSON output.  ``main`` builds the parser with every command and
-its help, but adds arguments only to the command it runs, so usage, help and
-errors read as those of the parser of every command (``build_parser()``).
+``squares`` for the commands that read, build or print squares, ``search``
+(and the kernel) for search and palindromes, ``dates`` for dates, ``json``
+for JSON output; help and usage errors import none of them.  ``main`` builds
+the parser with every command and its help, but adds arguments only to the
+command it runs, so usage, help and errors read as those of the parser of
+every command (``build_parser()``).
 """
 
 from __future__ import annotations
@@ -16,17 +18,23 @@ import argparse
 import os
 import sys
 
-from . import squares
-from .squares import Category, InvalidDigitError, SquareParseError
-
+# --expect level -> name of its squares.Category member.
 _EXPECT_LEVELS = {
-    "semi": Category.SEMI_MAGIC,
-    "magic": Category.MAGIC,
-    "pandiagonal": Category.PANDIAGONAL_MAGIC,
+    "semi": "SEMI_MAGIC",
+    "magic": "MAGIC",
+    "pandiagonal": "PANDIAGONAL_MAGIC",
 }
 
 
-def _read_square(path: str | None) -> squares.Square:
+def _expected(level: str):
+    from . import squares
+
+    return squares.Category[_EXPECT_LEVELS[level]]
+
+
+def _read_square(path: str | None):
+    from . import squares
+
     if path is None or path == "-":
         text = sys.stdin.read()
     else:
@@ -46,6 +54,8 @@ def _print_json(obj) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import squares
+
     square = _read_square(args.file)
     report = squares.classify(square)
     if args.json:
@@ -53,7 +63,7 @@ def cmd_verify(args) -> int:
     else:
         print(squares.format_report(report))
     failed = []
-    if args.expect and report.category < _EXPECT_LEVELS[args.expect]:
+    if args.expect and report.category < _expected(args.expect):
         failed.append(f"expected {args.expect}, got {report.category.label}")
     if args.constant is not None and report.constant != args.constant:
         failed.append(f"expected constant {args.constant}, got {report.constant}")
@@ -63,6 +73,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import squares
+
     square = _read_square(args.file)
     transforms = (
         _parse_transforms(args.transforms)
@@ -78,10 +90,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import squares
+
     square = _read_square(args.file)
     try:
         image = squares.apply_transform(square, args.apply)
-    except InvalidDigitError as err:
+    except squares.InvalidDigitError as err:
         print(str(err), file=sys.stderr)
         return 1
     print(squares.render(image))
@@ -94,7 +108,7 @@ def cmd_search(args) -> int:
     transforms = _parse_transforms(args.transforms) if args.transforms else ()
     stream = search.enumerate_squares(
         args.alphabet,
-        _EXPECT_LEVELS[args.expect],
+        _expected(args.expect),
         transforms,
         dedup=args.dedup,
     )
@@ -110,6 +124,8 @@ def cmd_palindromes(args) -> int:
 
 def _emit_squares(stream, jsonl: bool, transforms) -> int:
     """Print each square, then the ``N squares`` line; the exit status."""
+    from . import squares
+
     count = 0
     for square in stream:
         if jsonl:
@@ -145,6 +161,8 @@ def cmd_dates(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import squares
+
     square = _read_square(args.file)
     print(squares.render(square, args.style, args.border_label))
     return 0
@@ -182,6 +200,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply transforms and print the image")
     if command in (None, "transform"):
+        from . import squares
+
         add_square_arg(p)
         p.add_argument(
             "--apply",
@@ -244,16 +264,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The top-level parser has no option that takes a value, so the command
     # argparse runs is the first argument that is not an option; only its
-    # subparser needs arguments.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    # subparser needs arguments, and none does when there is no command.
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except SquareParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        from .squares import SquareParseError  # loaded on the error path only
+
+        kind = "parse" if isinstance(err, SquareParseError) else "usage"
+        print(f"{kind} error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader left; send what is still buffered to /dev/null so the

@@ -11,7 +11,7 @@ from collections import Counter
 from datetime import date
 from typing import Iterable
 
-from .squares import parse_alphabet
+from .glyphs import parse_alphabet
 
 SUBSET_OF = "subset"
 EXACTLY_USES = "exact"

@@ -1,4 +1,5 @@
-"""Seven-segment digit geometry and the digit maps induced by flips and turns.
+"""Seven-segment digit geometry, the digit maps induced by flips and turns,
+and the parsing of digit alphabets.
 
 Segments are lettered a-g in the usual order (a = top, then clockwise,
 g = middle bar):
@@ -46,9 +47,15 @@ The resulting maps:
     rot180:    0, 1, 2, 5, 8 fixed; 6 <-> 9; 3, 4, 7 invalid
     mirror-h:  0, 1, 8 fixed; 2 <-> 5; 3, 4, 6, 7, 9 invalid
     mirror-v:  0, 1, 8 fixed; 2 <-> 5; 3, 4, 6, 7, 9 invalid
+
+An alphabet is a set of distinct decimal digits, written "1258" or given as
+any iterable of ints; ``parse_alphabet`` is the one place that checks it,
+for the searches (through ``squares``) and the date scans alike.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 SEGMENTS = "abcdefg"
 
@@ -177,3 +184,24 @@ def ascii_glyph(mask: int) -> tuple[str, str, str]:
         ("|" if f else " ") + ("_" if g else " ") + ("|" if b else " "),
         ("|" if e else " ") + ("_" if d else " ") + ("|" if c else " "),
     )
+
+
+def parse_alphabet(text: str | Iterable[int]) -> tuple[int, ...]:
+    """Normalize an alphabet ("1258" or any digit iterable) to ascending digits.
+
+    A string shows itself in the ValueError; any other iterable is read
+    once, into a tuple, which the error shows instead.
+    """
+    if isinstance(text, str):
+        digits = [int(ch) if ch.isdigit() and ch.isascii() else -1 for ch in text]
+    else:
+        try:
+            text = tuple(text)
+        except TypeError:
+            raise ValueError(f"alphabet must be decimal digits, got {text!r}") from None
+        digits = text
+    if not digits or any(type(d) is not int or d not in range(10) for d in digits):
+        raise ValueError(f"alphabet must be decimal digits, got {text!r}")
+    if len(set(digits)) != len(digits):
+        raise ValueError(f"alphabet has repeated digits: {text!r}")
+    return tuple(sorted(digits))

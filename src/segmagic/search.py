@@ -41,16 +41,16 @@ of its units index, so a diagonal's sum depends only on the tens and the
 units index multisets of its canonical cells; the canonical grids are
 grouped by those multisets once, and each row joins the groups' sums under
 its relabellings instead of summing every grid's diagonals (the
-transversal view of Wanless, "Transversals in Latin squares", 2011).  Every such square is semi-magic;
-the converse fails for some alphabets: over {0,1,2,3}, where 0+3 = 1+2,
-there are 353,664 semi-magic squares and only 6,912 of them have Latin
-digit grids.  The search takes the Latin route only where it misses no
-square, so the route changes the speed, never the stream, and the direct
-route everywhere else.  Up to order 4 that is every alphabet in which no two
-pairs of distinct digits have the same sum: both routes were checked to
-give the same squares at the semi-magic and the magic level over every
-alphabet of one to three digits (three distinct digits never collide) and
-the 160 of the 210 alphabets of order 4 without such sums.
+transversal view of Wanless, "Transversals in Latin squares", 2011).
+Every such square is semi-magic; the converse fails for some alphabets: over
+{0,1,2,3}, where 0+3 = 1+2, there are 353,664 semi-magic squares and only
+6,912 of them have Latin digit grids.  The search takes the Latin route only
+where it misses no square, so the route changes the speed, never the stream,
+and the direct route everywhere else.  Up to order 4 that is every alphabet
+in which no two pairs of distinct digits have the same sum: both routes were
+checked to give the same squares at the semi-magic and the magic level over
+every alphabet of one to three digits (three distinct digits never collide)
+and the 160 of the 210 alphabets of order 4 without such sums.
 
 At order 5 that rule is not enough: some magic squares over {0,1,2,5,8}
 are not Latin pairs.  From order 5 on, the Latin route also needs mirror-h

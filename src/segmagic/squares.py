@@ -30,7 +30,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import glyphs
-from .glyphs import MIRROR_H, MIRROR_V, ROT180
+from .glyphs import MIRROR_H, MIRROR_V, ROT180, parse_alphabet
 
 DIGIT_REVERSE = "digit-reverse"
 
@@ -149,27 +149,6 @@ class Square:
 def alphabet_of(square: Square) -> tuple[int, ...]:
     """Distinct digits occurring in the square, ascending."""
     return tuple(sorted({int(ch) for cell in square.cells() for ch in cell}))
-
-
-def parse_alphabet(text: str | Iterable[int]) -> tuple[int, ...]:
-    """Normalize an alphabet ("1258" or any digit iterable) to ascending digits.
-
-    A string shows itself in the ValueError; any other iterable is read
-    once, into a tuple, which the error shows instead.
-    """
-    if isinstance(text, str):
-        digits = [int(ch) if ch.isdigit() and ch.isascii() else -1 for ch in text]
-    else:
-        try:
-            text = tuple(text)
-        except TypeError:
-            raise ValueError(f"alphabet must be decimal digits, got {text!r}") from None
-        digits = text
-    if not digits or any(type(d) is not int or d not in range(10) for d in digits):
-        raise ValueError(f"alphabet must be decimal digits, got {text!r}")
-    if len(set(digits)) != len(digits):
-        raise ValueError(f"alphabet has repeated digits: {text!r}")
-    return tuple(sorted(digits))
 
 
 class CellSet(NamedTuple):

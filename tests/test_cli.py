@@ -593,12 +593,12 @@ finally:
 _SEARCH_MODULES = {"segmagic.search", "segmagic.kernels"}
 
 
-def _modules_loaded_by(*argv) -> set[str]:
+def _modules_loaded_by(*argv, status=0) -> set[str]:
     proc = subprocess.run(
         [sys.executable, "-c", _LIST_IMPORTS, *argv],
         env=child_env(), capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return set(proc.stderr.split())
 
 
@@ -609,7 +609,6 @@ def _modules_loaded_by(*argv) -> set[str]:
         ("classify", FIX_5x5, "--json"),
         ("transform", FIX_5x5, "--apply", "rot180"),
         ("render", FIX_4x4_0125, "--style", "bordered", "--border-label", "88"),
-        ("--help",),
     ],
     ids=lambda argv: argv[0],
 )
@@ -619,12 +618,30 @@ def test_square_commands_load_neither_search_nor_dates(argv):
     assert not loaded & (_SEARCH_MODULES | {"segmagic.dates", "dataclasses"})
 
 
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (("--help",), 0),
+        (("verify", "--help"), 0),
+        (("search", "--help"), 0),
+        (("search", "--alphabet", "1258", "--expect", "nosuch"), 2),
+    ],
+    ids=["--help", "verify --help", "search --help", "usage-error"],
+)
+def test_help_and_usage_errors_load_neither_squares_nor_glyphs(argv, status):
+    # The parser needs no square code: cli is the only submodule loaded.
+    loaded = _modules_loaded_by(*argv, status=status)
+    assert "segmagic.cli" in loaded
+    square_code = {"segmagic.squares", "segmagic.glyphs", "segmagic.dates"}
+    assert not loaded & (_SEARCH_MODULES | square_code)
+
+
 def test_dates_command_loads_no_search():
     loaded = _modules_loaded_by(
         "dates", "--alphabet", "01258", "--from", "01.01.2010", "--to", "31.12.2010"
     )
-    assert "segmagic.dates" in loaded
-    assert not loaded & _SEARCH_MODULES
+    assert {"segmagic.dates", "segmagic.glyphs"} <= loaded
+    assert not loaded & (_SEARCH_MODULES | {"segmagic.squares"})
 
 
 @pytest.mark.parametrize(
@@ -670,3 +687,21 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed
     with pytest.raises(AttributeError):
         segmagic.no_such_name
+
+
+def test_parse_alphabet_has_one_home_in_glyphs():
+    from segmagic import glyphs, squares
+
+    assert segmagic.parse_alphabet is glyphs.parse_alphabet is squares.parse_alphabet
+    # The public name resolves through glyphs alone.
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, segmagic; segmagic.parse_alphabet; print(*sorted(sys.modules))",
+        ],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "segmagic.glyphs" in loaded
+    assert "segmagic.squares" not in loaded
