@@ -7,9 +7,12 @@ data, stderr diagnostics.  Each command imports only the modules it runs:
 ``squares`` for the commands that read, build or print squares, ``search``
 (and the kernel) for search and palindromes, ``dates`` for dates, ``json``
 for JSON output; help and usage errors import none of them.  ``main`` builds
-the parser with every command and its help, but adds arguments only to the
-command it runs, so usage, help and errors read as those of the parser of
-every command (``build_parser()``).
+the parser with every command and its help line, but gives only the
+subparser of the command it runs its arguments and its ``-h``, so usage,
+help and errors read as those of the parser of every command
+(``build_parser()``).  Each square, JSON line or date list goes to stdout in
+one write, so unbuffered output (``python -u``) costs one system call per
+record, and squares still go out as they are found.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _parse_transforms(text: str) -> tuple[str, ...]:
 def _print_json(obj) -> None:
     import json  # only --json and --jsonl load it
 
-    print(json.dumps(obj))
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -123,7 +126,9 @@ def cmd_palindromes(args) -> int:
 
 
 def _emit_squares(stream, jsonl: bool, transforms) -> int:
-    """Print each square, then the ``N squares`` line; the exit status."""
+    """Print each square as it comes, in one write with the blank line that
+    separates it from the one before, then the ``N squares`` line; the exit
+    status."""
     from . import squares
 
     count = 0
@@ -135,9 +140,8 @@ def _emit_squares(stream, jsonl: bool, transforms) -> int:
             record["rows"] = [list(row) for row in square.rows]
             _print_json(record)
         else:
-            if count:
-                print()
-            print(squares.render(square))
+            text = squares.render(square) + "\n"
+            sys.stdout.write("\n" + text if count else text)
         count += 1
     print(f"{count} squares", file=sys.stderr)
     return 0
@@ -155,8 +159,7 @@ def cmd_dates(args) -> int:
     if args.json:
         _print_json([dates.format_date(d) for d in found])
     else:
-        for day in found:
-            print(dates.format_date(day))
+        sys.stdout.write("".join(f"{dates.format_date(day)}\n" for day in found))
     return 0
 
 
@@ -169,8 +172,9 @@ def cmd_render(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser: every command with its help, and the
-    arguments of ``command`` alone, or of every command when it is None.
+    """The command-line parser: every command with its help line, and the
+    arguments and the ``-h`` of ``command`` alone, or of every command when
+    it is None.
     On a command line whose command is ``command`` it parses, prints and
     exits as the parser of every command does."""
     parser = argparse.ArgumentParser(
@@ -180,26 +184,31 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name, summary, func):
+        """The subparser of ``name``; None unless it is to get its arguments."""
+        wanted = command in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=wanted)
+        p.set_defaults(func=func)
+        return p if wanted else None
+
     def add_square_arg(p):
         p.add_argument("file", nargs="?", help="square file (default: stdin)")
 
-    p = sub.add_parser("verify", help="classify a square and check expectations")
-    if command in (None, "verify"):
+    p = add("verify", "classify a square and check expectations", cmd_verify)
+    if p:
         add_square_arg(p)
         p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS))
         p.add_argument("--constant", type=int)
         p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", help="classify plus universality verdicts")
-    if command in (None, "classify"):
+    p = add("classify", "classify plus universality verdicts", cmd_classify)
+    if p:
         add_square_arg(p)
         p.add_argument("--transforms", help="comma-separated (default: all four)")
         p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("transform", help="apply transforms and print the image")
-    if command in (None, "transform"):
+    p = add("transform", "apply transforms and print the image", cmd_transform)
+    if p:
         from . import squares
 
         add_square_arg(p)
@@ -210,10 +219,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             choices=squares.ATOMIC_TRANSFORMS,
             help="repeatable; applied left to right",
         )
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("search", help="enumerate combination squares")
-    if command in (None, "search"):
+    p = add("search", "enumerate combination squares", cmd_search)
+    if p:
         p.add_argument("--alphabet", required=True, help="digit string, e.g. 1258")
         p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS), default="magic")
         p.add_argument("--transforms", help="universality filter, comma-separated")
@@ -225,18 +233,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # passes it.
         p.add_argument("--via-latin", action="store_true", help=argparse.SUPPRESS)
         p.add_argument("--jsonl", action="store_true", help="one report per line")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("palindromes", help="enumerate palindromic semi-magic squares")
-    if command in (None, "palindromes"):
+    p = add("palindromes", "enumerate palindromic semi-magic squares", cmd_palindromes)
+    if p:
         p.add_argument("--alphabet", required=True)
         p.add_argument("--order", type=int, required=True)
         p.add_argument("--width", type=int, required=True)
         p.add_argument("--jsonl", action="store_true")
-    p.set_defaults(func=cmd_palindromes)
 
-    p = sub.add_parser("dates", help="scan a date range for alphabet membership")
-    if command in (None, "dates"):
+    p = add("dates", "scan a date range for alphabet membership", cmd_dates)
+    if p:
         p.add_argument("--alphabet", required=True)
         p.add_argument("--from", dest="start", required=True, metavar="DD.MM.YYYY")
         p.add_argument("--to", dest="end", required=True, metavar="DD.MM.YYYY")
@@ -244,10 +250,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # import dates
         p.add_argument("--mode", choices=("subset", "exact"), default="subset")
         p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dates)
 
-    p = sub.add_parser("render", help="print a square in another style")
-    if command in (None, "render"):
+    p = add("render", "print a square in another style", cmd_render)
+    if p:
         add_square_arg(p)
         p.add_argument(
             "--style",
@@ -255,7 +260,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             default="plain",
         )
         p.add_argument("--border-label", help="frame cell for the bordered style")
-    p.set_defaults(func=cmd_render)
 
     return parser
 

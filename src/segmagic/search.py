@@ -67,8 +67,7 @@ empty.
 from __future__ import annotations
 
 from functools import cache
-from heapq import merge
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -228,13 +227,22 @@ def _first_rows(n, lines, values, orbit):
     tuples.  An orbit element whose image row 0 comes from row 0 and is
     below it lexicographically puts the whole image below the square, which
     dedup would then drop; the grid filter's orbit test, ``_sorts_lower``,
-    finds such rows.  Each line's orderings come out ascending, as its
-    cells ascend, merged as needed.
+    finds such rows.  The rows come one first cell at a time, in ascending
+    order: each cell's bucket holds the orderings of the rest of every line
+    that holds the cell, each after the cell, and is sorted, pruned and
+    yielded before the next cell's is built.
     """
     mins = [(src[:n], image) for src, image in orbit if max(src[:n]) < n]
-    for row in merge(*map(permutations, lines)):
-        if not _sorts_lower(row, values, mins):
-            yield row
+    rests = {}  # first cell -> each line that holds it, without it
+    for line in lines:
+        for i, c in enumerate(line):
+            rests.setdefault(c, []).append(line[:i] + line[i + 1 :])
+    for c in sorted(rests):
+        prepend = (c,).__add__
+        orders = (map(prepend, permutations(rest)) for rest in rests[c])
+        for row in sorted(chain.from_iterable(orders)):
+            if not _sorts_lower(row, values, mins):
+                yield row
 
 
 def _latin_grids(rows, n, sets, values, target) -> Iterator[list[tuple[int, ...]]]:
@@ -278,24 +286,26 @@ def _diagonal_join(grids, n, values, target):
     Σ U[τ(b)] over B.  So the grids are grouped once by the tens and the
     units index multisets of their main diagonal, then by those of their
     anti-diagonal, and no grid's diagonal is summed.  The tens multisets are
-    summed once per σ and the units multisets once per τ.  A row takes the
-    main groups whose two sums reach the target, then of their
-    anti-diagonal groups those that reach it.
+    summed once per σ, and the units multisets once per τ and indexed by
+    their sum.  For each tens multiset of a main group the row looks up the
+    units multisets whose sum completes the target, and within the groups
+    it finds, it does the same for the anti-diagonal.
     """
     tens_part = [values[a * n] - values[0] for a in range(n)]  # T
     units_part = values[:n]  # U
     diagonals = _diagonals(n)
     tens, units = {}, {}  # multiset -> its key, numbered as first seen
-    groups = {}  # main key -> anti key -> grids
+    groups = {}  # main tens key -> units key -> anti tens key -> units key -> grids
     for g in grids:
-        main, anti = (
+        (main_t, main_u), (anti_t, anti_u) = (
             (
                 tens.setdefault(tuple(sorted(g[p] // n for p in d)), len(tens)),
                 units.setdefault(tuple(sorted(g[p] % n for p in d)), len(units)),
             )
             for d in diagonals
         )
-        groups.setdefault(main, {}).setdefault(anti, []).append(g)
+        by_anti = groups.setdefault(main_t, {}).setdefault(main_u, {})
+        by_anti.setdefault(anti_t, {}).setdefault(anti_u, []).append(g)
 
     @cache
     def per_sigma(sigma):
@@ -303,19 +313,23 @@ def _diagonal_join(grids, n, values, target):
 
     @cache
     def per_tau(tau):
-        return [sum(units_part[tau[b]] for b in key) for key in units]
+        by_sum = {}  # sum -> the units keys that reach it
+        for key, multiset in enumerate(units):
+            total = sum(units_part[tau[b]] for b in multiset)
+            by_sum[total] = by_sum.get(total, ()) + (key,)
+        return by_sum
 
     def hits(row):
         ten = per_sigma(tuple(c // n for c in row))
-        unit = per_tau(tuple(c % n for c in row))
-        return [
-            g
-            for (t, u), by_anti in groups.items()
-            if ten[t] + unit[u] == target
-            for (anti_t, anti_u), group in by_anti.items()
-            if ten[anti_t] + unit[anti_u] == target
-            for g in group
-        ]
+        completing = per_tau(tuple(c % n for c in row))
+
+        def reach(by_tens):  # the entries whose tens and units keys sum to target
+            for t, by_units in by_tens.items():
+                for u in completing.get(target - ten[t], ()):
+                    if u in by_units:
+                        yield by_units[u]
+
+        return [g for anti in reach(groups) for group in reach(anti) for g in group]
 
     return hits
 

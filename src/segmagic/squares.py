@@ -307,8 +307,8 @@ def classify(square: Square) -> ClassificationReport:
 
 def _cell_set(square: Square) -> CellSet:
     cells = Counter(square.cells())
-    digits = alphabet_of(square)
     if square.width == 2:
+        digits = alphabet_of(square)
         pairs = Counter(f"{x}{y}" for x, y in product(digits, repeat=2))
         if cells == pairs:
             return CellSet("exact-product", digits)

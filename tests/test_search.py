@@ -311,21 +311,26 @@ _ROW_TRANSFORMS = [
 
 
 @pytest.mark.parametrize(
-    "alphabets, latin",
+    "alphabets, transforms, latin",
     [
-        (["".join(c) for c in combinations("0123456789", 3)], True),
-        (["1258", "0125"], True),
-        (["1256", "0123"], False),
+        (["".join(c) for c in combinations("0123456789", 3)], _ROW_TRANSFORMS, True),
+        (["1258", "0125"], _ROW_TRANSFORMS, True),
+        (["1256", "0123"], _ROW_TRANSFORMS, False),
+        # Order 5, where each first cell starts 24 orderings of each of its
+        # lines: 14,400 rows before pruning on the Latin route, 44,160 on the
+        # direct one.
+        (["01258"], [(("mirror-h", DIGIT_REVERSE), True)], True),
+        (["01258"], [((), False)], False),
     ],
-    ids=["order3", "order4-latin", "order4-direct"],
+    ids=["order3", "order4-latin", "order4-direct", "order5-latin", "order5-direct"],
 )
-def test_first_rows_equal_the_scan(monkeypatch, alphabets, latin):
+def test_first_rows_equal_the_scan(monkeypatch, alphabets, transforms, latin):
     # The search's first rows, read off the lines it hands the kernel, are
     # the rows the scan finds over all the route's lines, in the same order.
     generate = search._first_rows
     calls = []
     monkeypatch.setattr(search, "_first_rows", lambda *args: calls.append(args) or ())
-    for alphabet, (universality, dedup) in product(alphabets, _ROW_TRANSFORMS):
+    for alphabet, (universality, dedup) in product(alphabets, transforms):
         digits = parse_alphabet(alphabet)
         n = len(digits)
         cells = [f"{x}{y}" for x in digits for y in digits]
@@ -537,6 +542,33 @@ def test_latin_relabelling_equals_the_kernel(kernel_calls, alphabet, rows, per_r
         assert len(grids) == per_row, row
         assert kept == [g for g in expected if diagonals_hit(g, values, n, target)]
     assert sum(map(len, checked)) == magic
+
+
+def test_order5_diagonal_join_keeps_the_relabelled_grids_that_reach_the_sum(
+    kernel_calls,
+):
+    # Every Latin first row over 01258 that starts at cell 0 (4! * 4!): with
+    # the target, a row keeps those of its relabelled grids whose main
+    # diagonals reach the magic sum.  The relabelled grids are checked
+    # against the kernel above.
+    n = 5
+    sets = transversals(n)
+    values = _cell_values("01258")
+    target = magic_sum(parse_alphabet("01258"))
+    rows = sorted(
+        tuple(a * n + b for a, b in zip((0, *tens), (0, *units)))
+        for tens in permutations(range(1, n))
+        for units in permutations(range(1, n))
+    )
+    assert len(rows) == 576
+    relabelled = list(search._latin_grids(iter(rows), n, sets, values, None))
+    checked = list(search._latin_grids(iter(rows), n, sets, values, target))
+    assert kernel_calls == [tuple(range(0, n * n, n + 1))] * 2
+    assert len(relabelled) == len(checked) == len(rows)
+    for row, grids, kept in zip(rows, relabelled, checked):
+        assert len(grids) == 432, row
+        assert kept == [g for g in grids if diagonals_hit(g, values, n, target)], row
+    assert sum(map(len, checked)) == 2416
 
 
 def _cell_values(alphabet):
