@@ -6,13 +6,14 @@ Squares are read from a file argument or standard input; stdout carries
 data, stderr diagnostics.  Each command imports only the modules it runs:
 ``squares`` for the commands that read, build or print squares, ``search``
 (and the kernel) for search and palindromes, ``dates`` for dates, ``json``
-for JSON output; help and usage errors import none of them.  ``main`` builds
-the parser with every command and its help line, but gives only the
-subparser of the command it runs its arguments and its ``-h``, so usage,
-help and errors read as those of the parser of every command
-(``build_parser()``).  Each square, JSON line or date list goes to stdout in
-one write, so unbuffered output (``python -u``) costs one system call per
-record, and squares still go out as they are found.
+for JSON output; help and usage errors import none of them.  When the
+command line starts with a command, ``main`` builds that command's subparser
+alone; on any other line it builds every command's subparser with its help
+line, and gives only the command it runs its arguments and its ``-h``.
+Either way usage, help and errors read as those of the parser of every
+command (``build_parser()``).  Each square, JSON line or date list goes to
+stdout in one write, so unbuffered output (``python -u``) costs one system
+call per record, and squares still go out as they are found.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+# Every command and its help line, in the order of the usage and the help.
+_COMMANDS = {
+    "verify": "classify a square and check expectations",
+    "classify": "classify plus universality verdicts",
+    "transform": "apply transforms and print the image",
+    "search": "enumerate combination squares",
+    "palindromes": "enumerate palindromic semi-magic squares",
+    "dates": "scan a date range for alphabet membership",
+    "render": "print a square in another style",
+}
 
 # --expect level -> name of its squares.Category member.
 _EXPECT_LEVELS = {
@@ -171,43 +183,57 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(
+    command: str | None = None, alone: bool = False
+) -> argparse.ArgumentParser:
     """The command-line parser: every command with its help line, and the
     arguments and the ``-h`` of ``command`` alone, or of every command when
-    it is None.
+    it is None.  With ``alone`` it holds the subparser of ``command`` and no
+    other, and its usage still spells out every command.
     On a command line whose command is ``command`` it parses, prints and
-    exits as the parser of every command does."""
+    exits as the parser of every command does; with ``alone``, on a line
+    that starts with ``command``."""
     parser = argparse.ArgumentParser(
         prog="segmagic",
         description="Verify, transform and enumerate universal magic squares "
         "built from seven-segment digits.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The parser of one command spells out what argparse derives from every
+    # command: the command list of the usage, and the subparsers' prog, which
+    # it derives by formatting a usage.  The parser of every command keeps
+    # argparse's defaults: a metavar would also rename the command argument
+    # in the errors that a missing or unknown command raises.
+    spelt = {"metavar": "{%s}" % ",".join(_COMMANDS), "prog": "segmagic"}
+    sub = parser.add_subparsers(
+        dest="command", required=True, **(spelt if alone else {})
+    )
 
-    def add(name, summary, func):
+    def add(name, func):
         """The subparser of ``name``; None unless it is to get its arguments."""
+        if alone and name != command:
+            return None
         wanted = command in (None, name)
-        p = sub.add_parser(name, help=summary, add_help=wanted)
+        p = sub.add_parser(name, help=_COMMANDS[name], add_help=wanted)
         p.set_defaults(func=func)
         return p if wanted else None
 
     def add_square_arg(p):
         p.add_argument("file", nargs="?", help="square file (default: stdin)")
 
-    p = add("verify", "classify a square and check expectations", cmd_verify)
+    p = add("verify", cmd_verify)
     if p:
         add_square_arg(p)
         p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS))
         p.add_argument("--constant", type=int)
         p.add_argument("--json", action="store_true")
 
-    p = add("classify", "classify plus universality verdicts", cmd_classify)
+    p = add("classify", cmd_classify)
     if p:
         add_square_arg(p)
         p.add_argument("--transforms", help="comma-separated (default: all four)")
         p.add_argument("--json", action="store_true")
 
-    p = add("transform", "apply transforms and print the image", cmd_transform)
+    p = add("transform", cmd_transform)
     if p:
         from . import squares
 
@@ -220,7 +246,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="repeatable; applied left to right",
         )
 
-    p = add("search", "enumerate combination squares", cmd_search)
+    p = add("search", cmd_search)
     if p:
         p.add_argument("--alphabet", required=True, help="digit string, e.g. 1258")
         p.add_argument("--expect", choices=sorted(_EXPECT_LEVELS), default="magic")
@@ -234,14 +260,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--via-latin", action="store_true", help=argparse.SUPPRESS)
         p.add_argument("--jsonl", action="store_true", help="one report per line")
 
-    p = add("palindromes", "enumerate palindromic semi-magic squares", cmd_palindromes)
+    p = add("palindromes", cmd_palindromes)
     if p:
         p.add_argument("--alphabet", required=True)
         p.add_argument("--order", type=int, required=True)
         p.add_argument("--width", type=int, required=True)
         p.add_argument("--jsonl", action="store_true")
 
-    p = add("dates", "scan a date range for alphabet membership", cmd_dates)
+    p = add("dates", cmd_dates)
     if p:
         p.add_argument("--alphabet", required=True)
         p.add_argument("--from", dest="start", required=True, metavar="DD.MM.YYYY")
@@ -251,7 +277,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("subset", "exact"), default="subset")
         p.add_argument("--json", action="store_true")
 
-    p = add("render", "print a square in another style", cmd_render)
+    p = add("render", cmd_render)
     if p:
         add_square_arg(p)
         p.add_argument(
@@ -266,11 +292,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser has no option that takes a value, so the command
-    # argparse runs is the first argument that is not an option; only its
-    # subparser needs arguments, and none does when there is no command.
-    command = next((arg for arg in argv if not arg.startswith("-")), "")
-    args = build_parser(command).parse_args(argv)
+    # A command in first place takes every argument after it, so its
+    # subparser alone parses the line.  Elsewhere, as the top-level parser has
+    # no option that takes a value, the command argparse runs is the first
+    # argument that is not an option; only its subparser needs arguments, and
+    # none does when there is no command.
+    if argv and argv[0] in _COMMANDS:
+        parser = build_parser(argv[0], alone=True)
+    else:
+        command = next((arg for arg in argv if not arg.startswith("-")), "")
+        parser = build_parser(command)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as err:

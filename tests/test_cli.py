@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, stream formats."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -142,13 +143,73 @@ def _parser_exit(parse, argv):
         ["transform", FIX_5x5],
         ["palindromes", "--alphabet", "125", "--order", "3"],
         ["search", "--alphabet", "1258", "--expect", "nosuch"],
+        ["search", "--alphabet", "1258", "bogus"],
+        ["search", "--alphabet", "1258", "--", "x"],
+        ["search", "--alph", "1258", "--zzz"],
+        ["search", "--alphabet"],
+        ["transform", FIX_5x5, "--apply", "nosuch"],
+        ["verify", FIX_5x5, "extra", "more"],
+        ["render", FIX_5x5, "--style", "nosuch"],
+        ["palindromes", "--order", "x"],
     ],
     ids=" ".join,
 )
 def test_parser_of_the_invoked_command_alone_prints_the_same(argv):
-    # main adds arguments only to the subparser of the command it runs;
+    # main builds the subparser of the command it runs alone when the line
+    # starts with it, and otherwise adds arguments to that subparser only;
     # help, usage and errors equal those of the parser of every command.
     assert _parser_exit(main, argv) == _parser_exit(cli.build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["nosuch"], ["search", "--alphabet", "1258", "bogus"]],
+    ids=" ".join,
+)
+def test_spelt_out_command_list_reads_as_argparse_derives_it(argv, monkeypatch):
+    # The parser of one command gives its subparsers action the metavar and
+    # prog that argparse derives from every command; the reference parser's
+    # action keeps argparse's defaults.
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def with_defaults(self, **kwargs):
+        kwargs.pop("metavar", None)
+        kwargs.pop("prog", None)
+        return add_subparsers(self, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "add_subparsers", with_defaults)
+        reference = cli.build_parser()
+    assert _parser_exit(main, argv) == _parser_exit(reference.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["search", "--alphabet", "125", "--expect", "semi"], 2),
+        (["verify", FIX_5x5], 2),
+        (["--help"], 8),
+    ],
+    ids=["search", "verify", "--help"],
+)
+def test_main_builds_the_invoked_command_s_parser_alone(
+    argv, parsers, monkeypatch, capsys
+):
+    # The top-level parser and the command's subparser; --help lists every
+    # command, so it builds all seven subparsers.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        assert main(argv) == 0
+    except SystemExit as exit_:
+        assert exit_.code == 0
+    assert len(built) == parsers, built
 
 
 # --- classify / transform ----------------------------------------------------
@@ -625,8 +686,9 @@ def test_square_commands_load_neither_search_nor_dates(argv):
         (("verify", "--help"), 0),
         (("search", "--help"), 0),
         (("search", "--alphabet", "1258", "--expect", "nosuch"), 2),
+        (("search", "--alphabet", "1258", "bogus"), 2),
     ],
-    ids=["--help", "verify --help", "search --help", "usage-error"],
+    ids=["--help", "verify --help", "search --help", "usage-error", "unrecognized"],
 )
 def test_help_and_usage_errors_load_neither_squares_nor_glyphs(argv, status):
     # The parser needs no square code: cli is the only submodule loaded.
