@@ -8,10 +8,9 @@ data, stderr diagnostics.  Each command imports only the modules it runs:
 (and the kernel) for search and palindromes, ``dates`` for dates, ``json``
 for JSON output; help and usage errors import none of them.  When the
 command line starts with a command, ``main`` builds that command's subparser
-alone; on any other line it builds every command's subparser with its help
-line, and gives only the command it runs its arguments and its ``-h``.
-Either way usage, help and errors read as those of the parser of every
-command (``build_parser()``).  Each square, JSON line or date list goes to
+alone, whose usage, help and errors read as those of the parser of every
+command (``build_parser()``); any other line gets the parser of every
+command.  Each square, JSON line or date list goes to
 stdout in one write, so unbuffered output (``python -u``) costs one system
 call per record, and squares still go out as they are found.
 """
@@ -183,16 +182,12 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser(
-    command: str | None = None, alone: bool = False
-) -> argparse.ArgumentParser:
-    """The command-line parser: every command with its help line, and the
-    arguments and the ``-h`` of ``command`` alone, or of every command when
-    it is None.  With ``alone`` it holds the subparser of ``command`` and no
-    other, and its usage still spells out every command.
-    On a command line whose command is ``command`` it parses, prints and
-    exits as the parser of every command does; with ``alone``, on a line
-    that starts with ``command``."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser: of every command when ``command`` is None,
+    else of ``command`` alone.  The parser of one command holds no other
+    subparser, yet its usage still spells out every command, and on a line
+    that starts with ``command`` it parses, prints and exits as the parser of
+    every command does."""
     parser = argparse.ArgumentParser(
         prog="segmagic",
         description="Verify, transform and enumerate universal magic squares "
@@ -205,17 +200,16 @@ def build_parser(
     # in the errors that a missing or unknown command raises.
     spelt = {"metavar": "{%s}" % ",".join(_COMMANDS), "prog": "segmagic"}
     sub = parser.add_subparsers(
-        dest="command", required=True, **(spelt if alone else {})
+        dest="command", required=True, **(spelt if command else {})
     )
 
     def add(name, func):
-        """The subparser of ``name``; None unless it is to get its arguments."""
-        if alone and name != command:
+        """The subparser of ``name``; None when the parser leaves it out."""
+        if command not in (None, name):
             return None
-        wanted = command in (None, name)
-        p = sub.add_parser(name, help=_COMMANDS[name], add_help=wanted)
+        p = sub.add_parser(name, help=_COMMANDS[name])
         p.set_defaults(func=func)
-        return p if wanted else None
+        return p
 
     def add_square_arg(p):
         p.add_argument("file", nargs="?", help="square file (default: stdin)")
@@ -235,14 +229,14 @@ def build_parser(
 
     p = add("transform", cmd_transform)
     if p:
-        from . import squares
-
         add_square_arg(p)
+        # squares.ATOMIC_TRANSFORMS, spelt out so that building the parser
+        # does not import squares
         p.add_argument(
             "--apply",
             action="append",
             required=True,
-            choices=squares.ATOMIC_TRANSFORMS,
+            choices=("rot180", "mirror-h", "mirror-v", "digit-reverse"),
             help="repeatable; applied left to right",
         )
 
@@ -293,16 +287,10 @@ def build_parser(
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A command in first place takes every argument after it, so its
-    # subparser alone parses the line.  Elsewhere, as the top-level parser has
-    # no option that takes a value, the command argparse runs is the first
-    # argument that is not an option; only its subparser needs arguments, and
-    # none does when there is no command.
-    if argv and argv[0] in _COMMANDS:
-        parser = build_parser(argv[0], alone=True)
-    else:
-        command = next((arg for arg in argv if not arg.startswith("-")), "")
-        parser = build_parser(command)
-    args = parser.parse_args(argv)
+    # subparser alone parses the line; any other line (an option first, no
+    # command, an unknown one) gets the parser of every command.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as err:

@@ -13,11 +13,10 @@ target exactly when every lane reaches the magic sum.  Every transform maps
 rows and columns onto rows and columns, so a set of cells can be a row or a
 column of a kept square only if its packed sum reaches the packed target:
 the kernel gets only the route's lines that do, and the grids' rows and
-columns need no further check.  The check on each grid reads only its
-diagonals up to the query's level.  For a magic or pandiagonal query only
-grids whose main diagonals reach the magic sum reach it: in cell values on
-the direct route, and on the Latin route in every lane, so there the check
-reads only the wrap-around diagonals, and a magic query none.
+columns need no further check.  For a magic or pandiagonal query both
+routes yield only grids whose main diagonals reach the magic sum in every
+lane, so the check on each grid reads only its wrap-around diagonals, and on
+a magic query none.
 
 The kernel completes a first row from the lines it is given, and the search
 runs on one of two routes.  The direct route's lines are the sets of n cells
@@ -128,11 +127,11 @@ def enumerate_squares(
     too: every transform maps rows and columns onto rows and columns, so no
     other line can be a row or a column of a kept square.  A row's grids have
     rows and columns made of those lines, and from the magic level on main
-    diagonals that reach the magic sum; each is kept when its diagonals up to
-    ``requirement`` and those of every universality image reach the magic sum
-    (one ``line_level`` call on the packed values of the module docstring, none
-    where no line is left to check: at the semi-magic level, and at the magic
-    level on the Latin route), and (with ``dedup``) no orbit element sorts it
+    diagonals that reach the magic sum, as do those of every universality
+    image; each is kept when, at the pandiagonal level, its wrap-around
+    diagonals and those of every universality image reach the magic sum too
+    (one ``line_level`` call on the packed values of the module docstring;
+    none below that level), and (with ``dedup``) no orbit element sorts it
     lower.  A first row is admissible when it orders one of those lines and
     (with ``dedup``) no orbit element that maps row 0 onto row 0 sorts it
     lower; the rows left out hold only squares the filter would drop.  The
@@ -169,8 +168,7 @@ def enumerate_squares(
     # lane, each in a field wide enough that no line sum or target carries
     # into the next, so one packed sum checks a line of the grid and of its
     # images.  The kernel gets only the route's lines whose packed sum
-    # reaches the target, which settles every row and column; line_level
-    # checks the diagonals up to the requirement.
+    # reaches the target, which settles every row and column.
     lanes = [values] + [[int(c) for c in image] for _, image in steps]
     bits = max(n * max(map(max, lanes)), target).bit_length()
     packed = [
@@ -185,17 +183,16 @@ def enumerate_squares(
     else:
         route = kernels.line_sets(values, n)[target]
     kept = [line for line in route if sum(packed[c] for c in line) == packed_target]
-    # The Latin route's diagonal join settles the main diagonals of every
-    # lane, so its grids need only the wrap-around diagonals checked.
-    lowest = Category.PANDIAGONAL_MAGIC if latin else Category.MAGIC
-    table = [(c, line) for c, line in lines(n) if lowest <= c <= requirement]
+    # Both routes settle the main diagonals of every lane, so the grids need
+    # only the wrap-around diagonals checked.
+    table = [(c, line) for c, line in lines(n) if Category.MAGIC < c <= requirement]
 
-    magic = requirement >= Category.MAGIC
+    magic = packed_target if requirement >= Category.MAGIC else None
     rows = _first_rows(n, kept, values, orbit)
     if latin:
-        per_row = _latin_grids(rows, n, kept, packed, packed_target if magic else None)
+        per_row = _latin_grids(rows, n, kept, packed, magic)
     else:
-        per_row = _completions(rows, values, {target: kept}, target if magic else None)
+        per_row = _completions(rows, packed, {packed_target: kept}, magic)
     for grids in per_row:
         for grid in grids:
             if table:
@@ -343,9 +340,10 @@ def _completions(rows, values, by_sum, target=None) -> Iterator[list[tuple[int, 
     """The kernel's grids of each of ``rows`` in turn, each row's ascending,
     over the lines that ``by_sum`` maps the row's sum in ``values`` to; with
     ``target``, only those whose main diagonals sum to it in ``values``.
-    The direct route of ``enumerate_squares`` passes ``{target: kept
-    lines}`` and a target, with rows of four or more cells;
-    ``enumerate_palindromic`` passes all of ``kernels.line_sets`` and none.
+    The direct route of ``enumerate_squares`` passes the packed values,
+    ``{packed target: kept lines}`` and, from the magic level on, the packed
+    target, with rows of four or more cells; ``enumerate_palindromic``
+    passes cell values, all of ``kernels.line_sets`` and no target.
 
     The rows must ascend.  Permuting a first row's cells permutes the
     columns of each of its completions, so the kernel completes each cell

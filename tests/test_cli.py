@@ -156,8 +156,8 @@ def _parser_exit(parse, argv):
 )
 def test_parser_of_the_invoked_command_alone_prints_the_same(argv):
     # main builds the subparser of the command it runs alone when the line
-    # starts with it, and otherwise adds arguments to that subparser only;
-    # help, usage and errors equal those of the parser of every command.
+    # starts with it, and otherwise the parser of every command; help, usage
+    # and errors equal those of the parser of every command.
     assert _parser_exit(main, argv) == _parser_exit(cli.build_parser().parse_args, argv)
 
 
@@ -687,8 +687,13 @@ def test_square_commands_load_neither_search_nor_dates(argv):
         (("search", "--help"), 0),
         (("search", "--alphabet", "1258", "--expect", "nosuch"), 2),
         (("search", "--alphabet", "1258", "bogus"), 2),
+        (("transform", "--help"), 0),
+        (("-h", "transform"), 0),
     ],
-    ids=["--help", "verify --help", "search --help", "usage-error", "unrecognized"],
+    ids=[
+        "--help", "verify --help", "search --help", "usage-error", "unrecognized",
+        "transform --help", "-h transform",
+    ],
 )
 def test_help_and_usage_errors_load_neither_squares_nor_glyphs(argv, status):
     # The parser needs no square code: cli is the only submodule loaded.
@@ -740,6 +745,19 @@ def test_dates_mode_choices_are_the_modes():
     assert build_parser().parse_args(base).mode == dates.SUBSET_OF
     for mode in dates.MODES:
         assert build_parser().parse_args(base + ["--mode", mode]).mode == mode
+
+
+def test_transform_apply_choices_are_the_atomic_transforms():
+    from segmagic import squares
+    from segmagic.cli import build_parser
+
+    # The help lists the choices in their order.
+    out, _, code = _parser_exit(build_parser().parse_args, ["transform", "--help"])
+    assert code == 0
+    assert "--apply {%s}" % ",".join(squares.ATOMIC_TRANSFORMS) in out
+    for name in squares.ATOMIC_TRANSFORMS:
+        args = build_parser().parse_args(["transform", "--apply", name])
+        assert args.apply == [name]
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -750,6 +750,22 @@ def test_colliding_pair_sums_take_the_direct_route():
         assert _route("0123", requirement) == "direct"
 
 
+def test_direct_route_settles_the_main_diagonals_in_every_lane(monkeypatch):
+    # The direct route tests the main diagonals of a magic query's grids on
+    # the packed values, so the filter has no line left to check.
+    query = ("0123", Category.MAGIC, (DIGIT_REVERSE,))
+    assert _route(*query) == "direct"
+    checked = []
+    monkeypatch.setattr(search, "line_level", lambda *args: checked.append(args))
+    squares = list(enumerate_squares(*query, dedup=True))
+    assert len(squares) == 2624
+    assert checked == []
+    for square in squares[:: len(squares) // 16]:
+        report = classify_universal(square, (DIGIT_REVERSE,))
+        assert report.category >= Category.MAGIC
+        assert report.universality[DIGIT_REVERSE].kind == MAGIC_SAME_CONSTANT
+
+
 @pytest.mark.parametrize("alphabet, count", [("125", 72), ("1258", 6912)])
 def test_via_latin_yields_exactly_the_latin_pairs(alphabet, count):
     squares = list(enumerate_squares(alphabet, Category.SEMI_MAGIC))
