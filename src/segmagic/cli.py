@@ -12,7 +12,10 @@ alone, whose usage, help and errors read as those of the parser of every
 command (``build_parser()``); any other line gets the parser of every
 command.  Each square, JSON line or date list goes to
 stdout in one write, so unbuffered output (``python -u``) costs one system
-call per record, and squares still go out as they are found.
+call per record, and squares still go out as they are found.  The plain text
+of ``search`` and ``palindromes`` is printed straight from the search's index
+grids, through one ``%`` template of the order, with no ``Square`` built;
+their JSONL output still builds each square and classifies it.
 """
 
 from __future__ import annotations
@@ -120,42 +123,53 @@ def cmd_search(args) -> int:
     from . import search
 
     transforms = _parse_transforms(args.transforms) if args.transforms else ()
-    stream = search.enumerate_squares(
-        args.alphabet,
-        _expected(args.expect),
-        transforms,
-        dedup=args.dedup,
-    )
-    return _emit_squares(stream, args.jsonl, transforms)
+    query = (args.alphabet, _expected(args.expect), transforms)
+    if args.jsonl:
+        stream = search.enumerate_squares(*query, dedup=args.dedup)
+        return _emit(_reports(stream, transforms))
+    return _emit(_texts(*search._square_grids(*query, args.dedup)))
 
 
 def cmd_palindromes(args) -> int:
     from . import search
 
-    stream = search.enumerate_palindromic(args.alphabet, args.order, args.width)
-    return _emit_squares(stream, args.jsonl, ())
+    query = (args.alphabet, args.order, args.width)
+    if args.jsonl:
+        return _emit(_reports(search.enumerate_palindromic(*query), ()))
+    return _emit(_texts(*search._palindromic_grids(*query)))
 
 
-def _emit_squares(stream, jsonl: bool, transforms) -> int:
-    """Print each square as it comes, in one write with the blank line that
-    separates it from the one before, then the ``N squares`` line; the exit
-    status."""
-    from . import squares
-
+def _emit(records) -> int:
+    """Write each record as it comes, in one write, then the ``N squares``
+    line; the exit status."""
     count = 0
-    for square in stream:
-        if jsonl:
-            record = squares.report_to_json(
-                squares.classify_universal(square, transforms)
-            )
-            record["rows"] = [list(row) for row in square.rows]
-            _print_json(record)
-        else:
-            text = squares.render(square) + "\n"
-            sys.stdout.write("\n" + text if count else text)
-        count += 1
+    for count, record in enumerate(records, 1):
+        sys.stdout.write(record)
     print(f"{count} squares", file=sys.stderr)
     return 0
+
+
+def _texts(n, cells, grids):
+    """The plain text of each square whose cell p is ``cells[grid[p]]``, as
+    ``squares.render`` prints it, after the blank line that separates it from
+    the one before: one ``%`` template of the order, and no ``Square``."""
+    text = "\n".join([" ".join(["%s"] * n)] * n) + "\n"
+    following = "\n" + text
+    for grid in grids:
+        yield text % tuple(map(cells.__getitem__, grid))
+        text = following
+
+
+def _reports(stream, transforms):
+    """The JSONL line of each square: its universality report and its rows."""
+    import json  # only --json and --jsonl load it
+
+    from . import squares
+
+    for square in stream:
+        record = squares.report_to_json(squares.classify_universal(square, transforms))
+        record["rows"] = [list(row) for row in square.rows]
+        yield json.dumps(record) + "\n"
 
 
 def cmd_dates(args) -> int:

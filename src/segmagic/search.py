@@ -16,7 +16,10 @@ the kernel gets only the route's lines that do, and the grids' rows and
 columns need no further check.  For a magic or pandiagonal query both
 routes yield only grids whose main diagonals reach the magic sum in every
 lane, so the check on each grid reads only its wrap-around diagonals, and on
-a magic query none.
+a magic query none.  The kept grids are index grids into the query's cell
+strings; ``enumerate_squares`` builds a ``Square`` from each, while the
+command line prints plain text straight from the grids and builds squares
+only for its JSONL output, which classifies each one.
 
 The kernel completes a first row from the lines it is given, and the search
 runs on one of two routes.  The direct route's lines are the sets of n cells
@@ -65,7 +68,7 @@ empty.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -136,8 +139,19 @@ def enumerate_squares(
     (with ``dedup``) no orbit element that maps row 0 onto row 0 sorts it
     lower; the rows left out hold only squares the filter would drop.  The
     cells are written from the parsed alphabet, so the squares skip
-    ``Square``'s cell checks.
+    ``Square``'s cell checks.  The command line prints plain text straight
+    from the index grids and builds no ``Square``; its JSONL output still
+    builds each square from this stream and classifies it.
     """
+    n, cells, grids = _square_grids(alphabet, requirement, universality, dedup)
+    yield from map(partial(_from_grid, n, cells), grids)
+
+
+def _square_grids(alphabet, requirement, universality, dedup):
+    """The order, the cell strings and a lazy stream of the index grids of
+    ``enumerate_squares``: a grid's square holds ``cells[grid[p]]`` at
+    row-major position p.  The query's ValueErrors are raised by this call,
+    before any kernel call."""
     alphabet = parse_alphabet(alphabet)
     if requirement not in range(Category.SEMI_MAGIC, Category.PANDIAGONAL_MAGIC + 1):
         raise ValueError("requirement must be semi-magic, magic or pandiagonal")
@@ -152,8 +166,8 @@ def enumerate_squares(
     # so they are compared and summed as values, never as indices.
     identity = (tuple(range(n * n)), tuple(cells))
     steps = [_step(n, identity, t) for t in universality]
-    if None in steps:
-        return  # a transform has no image of some cell of every square
+    if None in steps:  # a transform has no image of some cell of every square
+        return n, cells, iter(())
     orbit = _group(n, identity, universality) if dedup else ()
     orbit = [(src, [int(c) for c in image]) for src, image in orbit]
 
@@ -193,14 +207,18 @@ def enumerate_squares(
         per_row = _latin_grids(rows, n, kept, packed, magic)
     else:
         per_row = _completions(rows, packed, {packed_target: kept}, magic)
-    for grids in per_row:
-        for grid in grids:
-            if table:
-                level = line_level([packed[c] for c in grid], table, packed_target)
-                if level < requirement:
-                    continue
-            if not _sorts_lower(grid, values, orbit):
-                yield _from_grid(n, cells, grid)
+
+    def kept_grids():
+        for grids in per_row:
+            for grid in grids:
+                if table:
+                    level = line_level([packed[c] for c in grid], table, packed_target)
+                    if level < requirement:
+                        continue
+                if not _sorts_lower(grid, values, orbit):
+                    yield grid
+
+    return n, cells, kept_grids()
 
 
 def _sorts_lower(cells, values, elements):
@@ -286,7 +304,7 @@ def _diagonal_join(grids, n, values, target):
     summed once per σ, and the units multisets once per τ and indexed by
     their sum.  For each tens multiset of a main group the row looks up the
     units multisets whose sum completes the target, and within the groups
-    it finds, it does the same for the anti-diagonal.
+    it finds, it does the same for the anti-diagonal, all in one loop.
     """
     tens_part = [values[a * n] - values[0] for a in range(n)]  # T
     units_part = values[:n]  # U
@@ -317,16 +335,17 @@ def _diagonal_join(grids, n, values, target):
         return by_sum
 
     def hits(row):
-        ten = per_sigma(tuple(c // n for c in row))
-        completing = per_tau(tuple(c % n for c in row))
-
-        def reach(by_tens):  # the entries whose tens and units keys sum to target
-            for t, by_units in by_tens.items():
-                for u in completing.get(target - ten[t], ()):
-                    if u in by_units:
-                        yield by_units[u]
-
-        return [g for anti in reach(groups) for group in reach(anti) for g in group]
+        ten = per_sigma(tuple([c // n for c in row]))
+        completing = per_tau(tuple([c % n for c in row]))
+        found = []
+        for t, by_units in groups.items():
+            for u in completing.get(target - ten[t], ()):
+                if u in by_units:
+                    for anti_t, by_anti_units in by_units[u].items():
+                        for anti_u in completing.get(target - ten[anti_t], ()):
+                            if anti_u in by_anti_units:
+                                found += by_anti_units[anti_u]
+        return found
 
     return hits
 
@@ -481,16 +500,23 @@ def enumerate_palindromic(
     comes first; every other ordering permutes the columns of those grids,
     as on the direct route of ``enumerate_squares``.
     An order or a width that is not an ``int`` of at least 1 raises
-    ValueError on the first ``next``.
+    ValueError on the first ``next``.  As with ``enumerate_squares``, the
+    command line prints plain text straight from the index grids.
     """
+    n, cells, grids = _palindromic_grids(alphabet, order, width)
+    yield from map(partial(_from_grid, n, cells), grids)
+
+
+def _palindromic_grids(alphabet, order, width):
+    """The order, the cell strings and a lazy stream of the index grids of
+    ``enumerate_palindromic``, as ``_square_grids`` gives them."""
     cells = palindromic_cells(alphabet, width)
     values = [int(c) for c in cells]
     n = order
     if type(n) is not int or n < 1:
         raise ValueError(f"order must be an int of at least 1, got {n!r}")
     if len(cells) < n * n:
-        return
+        return n, cells, iter(())
     rows = permutations(range(len(cells)), n)
-    for grids in _completions(rows, values, kernels.line_sets(values, n)):
-        for grid in grids:
-            yield _from_grid(n, cells, grid)
+    per_row = _completions(rows, values, kernels.line_sets(values, n))
+    return n, cells, chain.from_iterable(per_row)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import segmagic
-from segmagic import cli
+from segmagic import ATOMIC_TRANSFORMS, Category, cli, render, search, squares
 from segmagic.cli import main
 
 from conftest import fixture_path
@@ -418,8 +418,10 @@ def test_search_jobs_flag_is_rejected():
 ALL_TRANSFORMS = "rot180,mirror-h,mirror-v,digit-reverse"
 
 # SHA-256 of stdout: a byte-identity oracle for changes to the search, the
-# classifier or the emitters.  The two searches are the benchmark's order-4
-# command lines; the last classify is the README's example.
+# classifier or the emitters.  The first two searches are the benchmark's
+# order-4 command lines; the plain-text palindromes and the bare semi-magic
+# 0125 search (6,912 squares) print straight from index grids; the last
+# classify is the README's example.
 _GOLDEN = {
     "search-1258-magic": (
         ("search", "--alphabet", "1258", "--expect", "magic",
@@ -430,6 +432,14 @@ _GOLDEN = {
         ("search", "--alphabet", "0125", "--expect", "semi",
          "--transforms", ALL_TRANSFORMS, "--dedup", "--jsonl"),
         "16e0a8d99a1b755cb4f38c4a00524a06b90c49bff7e2a51b7ec4ec5abb397107",
+    ),
+    "palindromes-125": (
+        ("palindromes", "--alphabet", "125", "--order", "3", "--width", "3"),
+        "977d07cf2c89905ed81d3f69394f0559ea4a8d84a8acadf96063487aaa7f2de0",
+    ),
+    "search-0125-semi": (
+        ("search", "--alphabet", "0125", "--expect", "semi"),
+        "467f45742cb93fe3112f5a0a6f4b51496c41957fd82bfa486b8851495686f760",
     ),
     **{
         f"classify-{name}": (("classify", str(fixture_path(name)), "--json"), digest)
@@ -473,6 +483,79 @@ _GOLDEN = {
 def test_golden_stdout(capsys, argv, digest):
     assert main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# (command line, the API stream it prints)
+_PLAIN_STREAMS = {
+    "order1": (
+        ("search", "--alphabet", "5", "--expect", "semi"),
+        lambda: search.enumerate_squares("5", Category.SEMI_MAGIC),
+    ),
+    "012-magic": (
+        ("search", "--alphabet", "012", "--expect", "magic"),
+        lambda: search.enumerate_squares("012", Category.MAGIC),
+    ),
+    "0123-direct": (
+        ("search", "--alphabet", "0123", "--expect", "magic",
+         "--transforms", "digit-reverse", "--dedup"),
+        lambda: search.enumerate_squares(
+            "0123", Category.MAGIC, ("digit-reverse",), dedup=True
+        ),
+    ),
+    "1258-latin": (
+        ("search", "--alphabet", "1258", "--transforms", ALL_TRANSFORMS, "--dedup"),
+        lambda: search.enumerate_squares(
+            "1258", Category.MAGIC, ATOMIC_TRANSFORMS, dedup=True
+        ),
+    ),
+    "0134-empty": (
+        ("search", "--alphabet", "0134", "--transforms", "rot180"),
+        lambda: search.enumerate_squares("0134", Category.MAGIC, ("rot180",)),
+    ),
+    "palindromes-125": (
+        ("palindromes", "--alphabet", "125", "--order", "3", "--width", "3"),
+        lambda: search.enumerate_palindromic("125", 3, 3),
+    ),
+    "palindromes-0125": (
+        ("palindromes", "--alphabet", "0125", "--order", "3", "--width", "3"),
+        lambda: search.enumerate_palindromic("0125", 3, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stream", _PLAIN_STREAMS.values(), ids=_PLAIN_STREAMS)
+def test_plain_text_prints_the_api_stream(capsys, argv, stream):
+    # The command line prints plain text from the index grids; the squares
+    # of the API stream, rendered and separated by blank lines, read the same.
+    texts = [render(square) for square in stream()]
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("\n\n".join(texts) + "\n" if texts else "")
+    assert captured.err == f"{len(texts)} squares\n"
+
+
+def test_plain_text_builds_no_square(capsys, monkeypatch):
+    # Plain text goes from the grids to stdout without a Square; --jsonl and
+    # the API still build one from each grid.
+    def refuse(*args):
+        raise AssertionError("a Square was built")
+
+    monkeypatch.setattr(squares, "_from_grid", refuse)
+    monkeypatch.setattr(search, "_from_grid", refuse)
+    for name in ("search-1258-magic", "palindromes-125", "search-0125-semi"):
+        argv, digest = _GOLDEN[name]
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+    with pytest.raises(AssertionError, match="a Square was built"):
+        main(list(_GOLDEN["search-0125-semi-jsonl"][0]))
+    with pytest.raises(AssertionError, match="a Square was built"):
+        main(["palindromes", "--alphabet", "125", "--order", "3", "--width", "3",
+              "--jsonl"])
+    with pytest.raises(AssertionError, match="a Square was built"):
+        next(search.enumerate_squares("1258"))
+    with pytest.raises(AssertionError, match="a Square was built"):
+        next(search.enumerate_palindromic("125", 3, 3))
 
 
 _UNKNOWN_TRANSFORM = (
